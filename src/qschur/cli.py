@@ -1,7 +1,7 @@
 """Command-line interface: enumeration, bases, straightening and suites.
 
 Subcommands: tableaux | basis | straighten | iota | dims | verify.
-Exit codes: 0 success, 1 failed verification, 2 bad parameters.
+Exit codes: 0 success, 1 failed verification, 2 bad parameters or input.
 Reports are JSON (default) or CSV, written to stdout or --output.
 """
 
@@ -12,14 +12,13 @@ import itertools
 import json
 import sys
 import time
-from math import comb
 
 from . import mixed as mx
 from . import qmatrix as qm
 from . import tableaux as tb
 from . import tensor as tn
 from .laurent import LaurentPoly, ONE, quantum_integer
-from .linalg import RationalFn
+from .linalg import Echelon, RationalFn, clear_denominators
 
 MAX_N, MAX_RS, MAX_M = 3, 2, 4
 
@@ -178,13 +177,12 @@ def suite_kernel_y(ns=(2, 3), rs_max=2):
                 gens = mx.cross_relation_generators(n, r, s)
                 killed = all(mx.iota(g, n).is_zero() for g in gens)
                 quot = mx.quotient(n, r, s)
-                from .linalg import Echelon
                 ech = Echelon()
                 for word in quot.words:
                     img = mx.iota(mx.MixedElem({word: ONE}, normalized=True),
                                   n)
                     expansion = qm.straighten(img, n)
-                    row = mx._clear_denominators(expansion)
+                    row = clear_denominators(expansion)
                     if row:
                         ech.insert(row)
                 ok = killed and ech.rank == quot.dimension()
@@ -381,7 +379,7 @@ def suite_weight_projectors(ns=(2, 3), ms=(1, 2, 3)):
                 u = tn.weight_projector(n, m, lam)
                 for key in tn.ordinary_basis(n, m):
                     wt = tb.weight(key, n)
-                    c = u.entries.get((key, key), LaurentPoly.zero())
+                    c = u.terms.get((key, key), LaurentPoly.zero())
                     if wt == lam and c != ONE:
                         ok = False
                     if wt != lam and tn.weight_le(wt, lam) and \
@@ -451,21 +449,45 @@ def run_suite(name, n=None, r=None, s=None, m=None):
     if name == "schur-weyl" and n is not None:
         kwargs = {"points": ((n, 1 if r is None else r,
                               1 if s is None else s),)}
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = func(**kwargs)
     return {"suite": name,
             "ok": all(c["ok"] for c in cases),
             "cases": cases,
-            "elapsed_ms": int((time.time() - t0) * 1000)}
+            "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
 
 
 # -- subcommands --------------------------------------------------------------
 
-def _read_element(args):
+def _read_element(args, mixed=False):
+    """The input element; a ParamError unless it is a list of terms with
+    their keys, letters in 1..n and, if mixed, bidegree (--r, --s)."""
     if args.input and args.input != "-":
         with open(args.input) as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            obj = json.load(fh)
+    else:
+        obj = json.load(sys.stdin)
+    halves = ("plain", "starred") if mixed else ("word",)
+    if not isinstance(obj, list):
+        raise ParamError("the element must be a JSON list of terms")
+    for item in obj:
+        if not (isinstance(item, dict) and isinstance(item.get("coeff"), dict)
+                and all(isinstance(item.get(h), list) for h in halves)):
+            raise ParamError("every term needs the keys "
+                             + ", ".join(halves + ("coeff",)))
+        if not all(isinstance(c, (int, str)) for c in item["coeff"].values()):
+            raise ParamError("coefficients must be integers")
+        for letter in itertools.chain(*(item[h] for h in halves)):
+            if not (isinstance(letter, list) and len(letter) == 2 and
+                    all(type(x) is int and 1 <= x <= args.n for x in letter)):
+                raise ParamError(f"letter {letter!r} is not a pair of "
+                                 f"indices in 1..{args.n}")
+        if mixed and (len(item["plain"]), len(item["starred"])) != \
+                (args.r, args.s):
+            raise ParamError(f"a term has bidegree ({len(item['plain'])}, "
+                             f"{len(item['starred'])}), not (--r, --s) = "
+                             f"({args.r}, {args.s})")
+    return (mx.MixedElem if mixed else qm.AlgebraElem).from_json(obj)
 
 
 def _coeff_json(c):
@@ -509,16 +531,15 @@ def cmd_basis(args):
 def cmd_straighten(args):
     if args.kind == "ord":
         _check_caps(args, ("n",))
-        elem = qm.AlgebraElem.from_json(_read_element(args))
-        expansion = qm.straighten(elem, args.n)
+        expansion = qm.straighten(_read_element(args), args.n)
         terms = [{"left": t.to_json(), "right": t2.to_json(),
                   "coeff": _coeff_json(c)}
                  for (t, t2), c in sorted(expansion.items(),
                                           key=lambda kv: repr(kv[0]))]
         return 0, {"n": args.n, "terms": terms}
     _check_caps(args, ("n", "r", "s"))
-    elem = mx.MixedElem.from_json(_read_element(args))
-    expansion = mx.rational_straighten(elem, args.n, args.r, args.s)
+    expansion = mx.rational_straighten(_read_element(args, mixed=True),
+                                       args.n, args.r, args.s)
     terms = [{"k": k, "left": rt.to_json(), "right": rt2.to_json(),
               "coeff": _coeff_json(c)}
              for (k, rt, rt2), c in sorted(expansion.items(),
@@ -528,8 +549,7 @@ def cmd_straighten(args):
 
 def cmd_iota(args):
     _check_caps(args, ("n", "r", "s"))
-    elem = mx.MixedElem.from_json(_read_element(args))
-    img = mx.iota(elem, args.n)
+    img = mx.iota(_read_element(args, mixed=True), args.n)
     expansion = qm.straighten(img, args.n)
     terms = [{"left": t.to_json(), "right": t2.to_json(),
               "coeff": _coeff_json(c)}
@@ -682,7 +702,7 @@ def main(argv=None):
     except ParamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: bad --input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args)

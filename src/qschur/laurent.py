@@ -51,9 +51,6 @@ class LaurentPoly:
     def is_one(self):
         return self.terms == {0: 1}
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     def is_unit(self):
         """True iff this is +-q^k, a unit of Z[q,q^-1]."""
         if len(self.terms) != 1:
@@ -243,7 +240,6 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q(1)
 QINV = LaurentPoly.q(-1)
-MINUS_Q = LaurentPoly.q(1, -1)
 
 
 def neg_q_power(k):

@@ -9,7 +9,11 @@ Two engines are provided:
   with combination tracking, used to express a vector in a given spanning
   set (membership queries with explicit coefficients).
 
-Vectors are dicts from a sortable column key to a nonzero entry.
+Vectors are dicts from a sortable column key to a nonzero entry.  Every
+sparse sum in the package is built with :func:`accumulate` (add a scaled
+sequence of entries into a dict, dropping the entries that cancel), and
+the element classes of the algebras and of tensor space share the
+arithmetic of :class:`SparseSum`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,70 @@ from __future__ import annotations
 from math import gcd
 
 from .laurent import LaurentPoly, exact_div, laurent_divmod
+
+
+def accumulate(acc, items, coeff=None):
+    """Add coeff * v into acc[k] for each (k, v) of items; drop zeros.
+
+    coeff None means 1.  acc is modified in place and returned.
+    """
+    get = acc.get
+    for k, v in items:
+        if coeff is not None:
+            v = coeff * v
+        t = get(k)
+        if t is not None:
+            v = t + v
+        if v.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+    return acc
+
+
+class SparseSum:
+    """A sparse sum: ``terms`` maps a key to a nonzero coefficient.
+
+    Results are made by ``_make``, which wraps a dict that is already in
+    normal form; subclasses with a normalizing constructor keep it for
+    raw input.
+    """
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _make(cls, terms):
+        r = cls.__new__(cls)
+        r.terms = terms
+        return r
+
+    @classmethod
+    def zero(cls):
+        return cls._make({})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        return self._make(accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._make({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, coeff):
+        if isinstance(coeff, int):
+            coeff = LaurentPoly.from_int(coeff)
+        if coeff.is_zero():
+            return self._make({})
+        return self._make({k: coeff * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
 
 
 class RationalFn:
@@ -139,7 +207,9 @@ class RationalFn:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a Laurent value always has den == 1 and a canonical num; other
+        # fractions are not canonical, so they share one hash
+        return hash(self.num) if self.den.is_one() else hash(RationalFn)
 
     def subs(self, value):
         return self.num.subs(value) / self.den.subs(value)
@@ -151,11 +221,6 @@ class RationalFn:
 
     def to_json(self):
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @staticmethod
-    def from_json(obj):
-        return RationalFn(LaurentPoly.from_json(obj["num"]),
-                          LaurentPoly.from_json(obj["den"]))
 
 
 def _coerce(x):
@@ -204,27 +269,17 @@ class Echelon:
         row span equal to scale * residual; residual has Laurent entries and
         scale is a RationalFn.  v is not modified.
         """
-        v = dict(v)
+        v = {k: val for k, val in v.items() if not val.is_zero()}
         if scale is None:
             scale = RationalFn.one()
         for c in self._order:
             coeff = v.get(c)
-            if coeff is None or coeff.is_zero():
-                v.pop(c, None)
+            if coeff is None:
                 continue
             row = self.pivots[c]
             p = row[c]
-            new = {}
-            for k, val in v.items():
-                new[k] = val * p
-            for k, val in row.items():
-                t = new.get(k, None)
-                t = (t - coeff * val) if t is not None else (-coeff) * val
-                if t.is_zero():
-                    new.pop(k, None)
-                else:
-                    new[k] = t
-            v = new
+            v = accumulate({k: val * p for k, val in v.items()},
+                           row.items(), -coeff)
             scale = scale / RationalFn(p)
             if not v:
                 break
@@ -248,14 +303,8 @@ class Echelon:
             coeff = row.get(pc)
             if coeff is None:
                 continue
-            new = {k: val * p for k, val in row.items()}
-            for k, val in res.items():
-                t = new.get(k)
-                t = (t - coeff * val) if t is not None else (-coeff) * val
-                if t.is_zero():
-                    new.pop(k, None)
-                else:
-                    new[k] = t
+            new = accumulate({k: val * p for k, val in row.items()},
+                             res.items(), -coeff)
             new, _ = _strip_content(new)
             self.pivots[c0] = new
         self.pivots[pc] = res
@@ -296,20 +345,8 @@ class SpanSolver:
             coeff = v.get(pc)
             if coeff is None or coeff.is_zero():
                 continue
-            for k, val in row.items():
-                t = v.get(k, None)
-                t = (t - coeff * val) if t is not None else (-coeff) * val
-                if t.is_zero():
-                    v.pop(k, None)
-                else:
-                    v[k] = t
-            for k, val in rcombo.items():
-                t = combo.get(k, None)
-                t = (t - coeff * val) if t is not None else (-coeff) * val
-                if t.is_zero():
-                    combo.pop(k, None)
-                else:
-                    combo[k] = t
+            accumulate(v, row.items(), -coeff)
+            accumulate(combo, rcombo.items(), -coeff)
         return v, combo
 
     def insert(self, v):
@@ -325,26 +362,13 @@ class SpanSolver:
         v = {k: val / pval for k, val in v.items()}
         combo = {k: val / pval for k, val in combo.items()}
         # back-substitute to keep RREF
-        for i, (pc0, row0, combo0) in enumerate(self.rows):
+        for _, row0, combo0 in self.rows:
             coeff = row0.get(pc)
             if coeff is None:
                 continue
-            for k, val in v.items():
-                t = row0.get(k, None)
-                t = (t - coeff * val) if t is not None else (-coeff) * val
-                if t.is_zero():
-                    row0.pop(k, None)
-                else:
-                    row0[k] = t
-            for k, val in combo.items():
-                t = combo0.get(k, None)
-                t = (t - coeff * val) if t is not None else (-coeff) * val
-                if t.is_zero():
-                    combo0.pop(k, None)
-                else:
-                    combo0[k] = t
+            accumulate(row0, v.items(), -coeff)
+            accumulate(combo0, combo.items(), -coeff)
         self.rows.append((pc, v, combo))
-        self.rows.sort(key=lambda t: _key_rank(t[0]))
         return True
 
     def solve(self, v):
@@ -357,10 +381,6 @@ class SpanSolver:
         if res:
             return None
         return {k: -val for k, val in combo.items()}
-
-
-def _key_rank(k):
-    return k
 
 
 class SparseMat:
@@ -387,35 +407,26 @@ class SparseMat:
         return SparseMat(self.cols, self.rows,
                          {(c, r): v for (r, c), v in self.entries.items()})
 
-    def to_json(self):
-        items = sorted(self.entries.items())
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[r, c, v.to_json()] for (r, c), v in items]}
 
-    @staticmethod
-    def from_json(obj):
-        entries = {(r, c): RationalFn.from_json(v)
-                   for r, c, v in obj["entries"]}
-        return SparseMat(obj["rows"], obj["cols"], entries)
+def clear_denominators(row):
+    """Scale a RationalFn dict by the product of its denominators.
 
-
-def _laurent_rows(mat):
-    """Clear denominators rowwise, yielding LaurentPoly row dicts."""
-    out = []
-    for row in mat.row_dicts():
-        den = LaurentPoly.one()
-        for v in row.values():
+    Returns a dict of LaurentPoly values; zero entries are dropped.
+    """
+    den = LaurentPoly.one()
+    for v in row.values():
+        if not v.den.is_one():
             den = den * v.den
-        out.append({c: v.num * exact_div(den, v.den) for c, v in row.items()})
-    return out
+    return {k: v.num * (den if v.den.is_one() else exact_div(den, v.den))
+            for k, v in row.items() if not v.is_zero()}
 
 
 def mat_rank(mat):
     """Rank over the fraction field, by fraction-free elimination."""
     ech = Echelon()
-    for row in _laurent_rows(mat):
+    for row in mat.row_dicts():
         if row:
-            ech.insert(row)
+            ech.insert(clear_denominators(row))
     return ech.rank
 
 

@@ -18,23 +18,23 @@ r + (n-1)s together with its one-sided inverse phi.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
-from .laurent import LaurentPoly, ONE, exact_div, neg_q_power
-from .linalg import Echelon, RationalFn, SpanSolver
+from .laurent import LaurentPoly, ONE, neg_q_power
+from .linalg import (Echelon, RationalFn, SpanSolver, SparseSum, accumulate,
+                     clear_denominators)
 from .qmatrix import (AlgebraElem, PLAIN, STARRED, bideterminant,
-                      multiply, quantum_det, quantum_minor_right,
-                      straighten)
-from .tableaux import (Partition, RationalTableau, Tableau,
-                       enumerate_standard, enumerate_standard_rational,
-                       is_standard_rational, ordinary_to_rational,
-                       partitions, rational_to_ordinary)
+                      monomial_basis, multiply, quantum_det,
+                      quantum_minor_right, straighten)
+from .tableaux import (enumerate_standard_rational, ordinary_to_rational,
+                       rational_to_ordinary)
 
 
-class MixedElem:
+class MixedElem(SparseSum):
     """A sum of (plain word, starred word) pairs with Laurent coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None, normalized=False):
         terms = terms or {}
@@ -43,22 +43,12 @@ class MixedElem:
             for (pw, sw), coeff in terms.items():
                 if coeff.is_zero():
                     continue
+                starred = STARRED.normal_word(sw).items()
                 for pw2, pc in PLAIN.normal_word(pw).items():
-                    for sw2, sc in STARRED.normal_word(sw).items():
-                        key = (pw2, sw2)
-                        c = coeff * pc * sc
-                        v = out.get(key)
-                        v = c if v is None else v + c
-                        if v.is_zero():
-                            out.pop(key, None)
-                        else:
-                            out[key] = v
+                    accumulate(out, (((pw2, sw2), pc * sc)
+                                     for sw2, sc in starred), coeff)
             terms = out
         self.terms = terms
-
-    @staticmethod
-    def zero():
-        return MixedElem({}, normalized=True)
 
     @staticmethod
     def one():
@@ -84,40 +74,6 @@ class MixedElem:
         return MixedElem({((), w): c for w, c in a.terms.items()},
                          normalized=True)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            v = t.get(w)
-            v = c if v is None else v + c
-            if v.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = v
-        return MixedElem(t, normalized=True)
-
-    def __neg__(self):
-        return MixedElem({w: -c for w, c in self.terms.items()},
-                         normalized=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        if coeff.is_zero():
-            return MixedElem.zero()
-        return MixedElem({w: coeff * c for w, c in self.terms.items()},
-                         normalized=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedElem):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -136,9 +92,10 @@ class MixedElem:
 
     @staticmethod
     def from_json(obj):
-        terms = {(tuple(tuple(x) for x in item["plain"]),
-                  tuple(tuple(x) for x in item["starred"])):
-                 LaurentPoly.from_json(item["coeff"]) for item in obj}
+        terms = accumulate({}, (((tuple(tuple(x) for x in item["plain"]),
+                                  tuple(tuple(x) for x in item["starred"])),
+                                 LaurentPoly.from_json(item["coeff"]))
+                                for item in obj))
         return MixedElem(terms)
 
 
@@ -146,21 +103,9 @@ def mixed_multiply(a, b):
     """Product: plain halves concatenate, starred halves concatenate."""
     t = {}
     for (p1, s1), c1 in a.terms.items():
-        for (p2, s2), c2 in b.terms.items():
-            key = (p1 + p2, s1 + s2)
-            c = c1 * c2
-            v = t.get(key)
-            v = c if v is None else v + c
-            if v.is_zero():
-                t.pop(key, None)
-            else:
-                t[key] = v
+        accumulate(t, (((p1 + p2, s1 + s2), c2)
+                       for (p2, s2), c2 in b.terms.items()), c1)
     return MixedElem(t)
-
-
-def _plain_words(n, deg):
-    letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return list(itertools.combinations_with_replacement(letters, deg))
 
 
 def cross_relation_cores(n):
@@ -195,9 +140,9 @@ def cross_relation_generators(n, r, s):
         return []
     cores = cross_relation_cores(n)
     out = []
-    for pw in _plain_words(n, r - 1):
+    for pw in monomial_basis(n, r - 1):
         h1 = MixedElem({(pw, ()): ONE}, normalized=True)
-        for sw in _plain_words(n, s - 1):
+        for sw in monomial_basis(n, s - 1):
             h3 = MixedElem({((), sw): ONE}, normalized=True)
             for core in cores:
                 g = mixed_multiply(mixed_multiply(h1, core), h3)
@@ -230,8 +175,8 @@ class MixedQuotient:
 
     def __init__(self, n, r, s):
         self.n, self.r, self.s = n, r, s
-        self.words = [(pw, sw) for pw in _plain_words(n, r)
-                      for sw in _plain_words(n, s)]
+        self.words = [(pw, sw) for pw in monomial_basis(n, r)
+                      for sw in monomial_basis(n, s)]
         self.blocks = {}
         for g in cross_relation_generators(n, r, s):
             grades = {_grade(w, n) for w in g.terms}
@@ -256,29 +201,17 @@ class MixedQuotient:
                     out[w] = RationalFn(c)
                 continue
             res, scale = ech.reduce(vec)
-            for w, p in res.items():
-                v = out.get(w)
-                v = scale * RationalFn(p) if v is None \
-                    else v + scale * RationalFn(p)
-                if v.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = v
+            accumulate(out, ((w, RationalFn(p)) for w, p in res.items()),
+                       scale)
         return out
 
     def is_coset_zero(self, a):
         return not self.coords(a)
 
 
-_QUOTIENTS = {}
-
-
+@functools.cache
 def quotient(n, r, s):
-    key = (n, r, s)
-    hit = _QUOTIENTS.get(key)
-    if hit is None:
-        hit = _QUOTIENTS[key] = MixedQuotient(n, r, s)
-    return hit
+    return MixedQuotient(n, r, s)
 
 
 def canonical_coords(a, n, r, s):
@@ -311,20 +244,8 @@ def check_detk(n, k):
     d = det_frak(k, n)
     quot = quotient(n, k + 1, k + 1)
 
-    def sandwich(row_side, i, weight_exp):
-        terms = {}
-        for (pw, sw), c in d.terms.items():
-            for l in range(1, n + 1):
-                left = (i, l) if row_side else (l, i)
-                key = ((left,) + pw, sw + (left,))
-                add = c * LaurentPoly.q(weight_exp(l))
-                v = terms.get(key)
-                v = add if v is None else v + add
-                terms[key] = v
-        return terms
-
     def sandwich_pair(row_side, i, j, weight_exp):
-        # like sandwich but with distinct row/column indices i (plain), j (starred)
+        # index i on the plain letter, j on the starred one
         terms = {}
         for (pw, sw), c in d.terms.items():
             for l in range(1, n + 1):
@@ -347,9 +268,9 @@ def check_detk(n, k):
             if not quot.is_coset_zero(MixedElem(
                     sandwich_pair(False, i, j, lambda l: 2 * l))):
                 return False
-    diag = [MixedElem(sandwich(False, i, lambda l, i=i: 2 * l - 2 * i))
+    diag = [MixedElem(sandwich_pair(False, i, i, lambda l, i=i: 2 * l - 2 * i))
             for i in range(1, n + 1)]
-    diag += [MixedElem(sandwich(True, j, lambda l: 0))
+    diag += [MixedElem(sandwich_pair(True, j, j, lambda l: 0))
              for j in range(1, n + 1)]
     return all(quot.is_coset_zero(diag[0] - other) for other in diag[1:])
 
@@ -368,38 +289,14 @@ def rational_bideterminant(rt, rt2, k, n):
     return mixed_multiply(mixed_multiply(left, det_frak(k, n)), right)
 
 
-def scaling_automorphism(a, n):
-    """x_ik -> q^(2k-2i) x_ki and x*_ik -> x*_ki, extended letterwise."""
-    terms = {}
-    for (pw, sw), c in a.terms.items():
-        coeff = c
-        new_pw = []
-        for i, k in pw:
-            coeff = coeff * LaurentPoly.q(2 * k - 2 * i)
-            new_pw.append((k, i))
-        new_sw = [(k, i) for i, k in sw]
-        key = (tuple(new_pw), tuple(new_sw))
-        v = terms.get(key)
-        v = coeff if v is None else v + coeff
-        terms[key] = v
-    return MixedElem(terms)
-
-
 # -- the embedding iota --------------------------------------------------
 
-_IOTA_LETTER = {}
-
-
+@functools.cache
 def iota_starred_letter(i, j, n):
     """iota(x*_ij) = (-q)^(j-i) (1..i^..n | 1..j^..n)."""
-    key = (i, j, n)
-    hit = _IOTA_LETTER.get(key)
-    if hit is None:
-        rows = [t for t in range(1, n + 1) if t != i]
-        cols = [t for t in range(1, n + 1) if t != j]
-        hit = quantum_minor_right(rows, cols).scale(neg_q_power(j - i))
-        _IOTA_LETTER[key] = hit
-    return hit
+    rows = [t for t in range(1, n + 1) if t != i]
+    cols = [t for t in range(1, n + 1) if t != j]
+    return quantum_minor_right(rows, cols).scale(neg_q_power(j - i))
 
 
 def iota(a, n):
@@ -485,15 +382,9 @@ class _RationalBasis:
             self.index.append((k, rt, rt2))
 
 
-_RATIONAL_BASES = {}
-
-
+@functools.cache
 def rational_basis(n, r, s):
-    key = (n, r, s)
-    hit = _RATIONAL_BASES.get(key)
-    if hit is None:
-        hit = _RATIONAL_BASES[key] = _RationalBasis(n, r, s)
-    return hit
+    return _RationalBasis(n, r, s)
 
 
 def rational_straighten(a, n, r, s, require_unit_denominators=True):
@@ -520,9 +411,7 @@ def rational_straighten(a, n, r, s, require_unit_denominators=True):
 
 # -- c exponents and phi ---------------------------------------------------
 
-_C_EXPONENT = {}
-
-
+@functools.cache
 def c_exponent(rt, rt2, k, n, r, s):
     """The exponent c with iota(rational bidet) = (-q)^c (t|t').
 
@@ -530,10 +419,6 @@ def c_exponent(rt, rt2, k, n, r, s):
     whose halves are the images of rt and rt2 under the tableau
     correspondence, and returns c.
     """
-    key = (rt, rt2, k, n, r, s)
-    hit = _C_EXPONENT.get(key)
-    if hit is not None:
-        return hit
     img = iota(rational_bideterminant(rt, rt2, k, n), n)
     expansion = straighten(img, n)
     if len(expansion) != 1:
@@ -547,7 +432,6 @@ def c_exponent(rt, rt2, k, n, r, s):
     sign, c = coeff.num.unit_decompose()
     if sign != (-1) ** (c % 2):
         raise AssertionError("iota image coefficient is not a power of -q")
-    _C_EXPONENT[key] = c
     return c
 
 
@@ -572,13 +456,8 @@ def phi(a, n, r, s):
         k = r - rt.left.size()
         c = c_exponent(rt, rt2, k, n, r, s)
         scalar = coeff * RationalFn(neg_q_power(-c))
-        for w, v in quot.coords(rational_bideterminant(rt, rt2, k, n)).items():
-            val = out.get(w)
-            val = scalar * v if val is None else val + scalar * v
-            if val.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = val
+        accumulate(out, quot.coords(
+            rational_bideterminant(rt, rt2, k, n)).items(), scalar)
     return out
 
 
@@ -591,35 +470,22 @@ class DetIdealChecker:
         self.quot = quotient(n, r, s)
         self.ech = Echelon()
         core = det_frak(1, n)
-        for pw in _plain_words(n, r - 1):
+        for pw in monomial_basis(n, r - 1):
             h1 = MixedElem({(pw, ()): ONE}, normalized=True)
-            for sw in _plain_words(n, s - 1):
+            for sw in monomial_basis(n, s - 1):
                 h3 = MixedElem({((), sw): ONE}, normalized=True)
                 g = mixed_multiply(mixed_multiply(h1, core), h3)
-                row = _clear_denominators(self.quot.coords(g))
+                row = clear_denominators(self.quot.coords(g))
                 if row:
                     self.ech.insert(row)
 
     def congruent_zero(self, a):
-        return self.ech.contains(_clear_denominators(self.quot.coords(a)))
+        return self.ech.contains(clear_denominators(self.quot.coords(a)))
 
 
-def _clear_denominators(coords):
-    den = LaurentPoly.one()
-    for v in coords.values():
-        den = den * v.den
-    return {w: v.num * exact_div(den, v.den) for w, v in coords.items()}
-
-
-_DET_IDEALS = {}
-
-
+@functools.cache
 def det_ideal_checker(n, r, s):
-    key = (n, r, s)
-    hit = _DET_IDEALS.get(key)
-    if hit is None:
-        hit = _DET_IDEALS[key] = DetIdealChecker(n, r, s)
-    return hit
+    return DetIdealChecker(n, r, s)
 
 
 def minor_pair(r_vec, s_vec, j_tuple):

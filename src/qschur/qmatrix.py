@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 
-from .laurent import LaurentPoly, ONE, Q, QINV, neg_q_power
-from .linalg import RationalFn, SpanSolver
-from .tableaux import (Tableau, Partition, content, enumerate_standard,
-                       partitions, inversions)
+from .laurent import LaurentPoly, ONE, neg_q_power
+from .linalg import RationalFn, SpanSolver, SparseSum, accumulate
+from .tableaux import content, enumerate_standard, partitions, inversions
 
 
 class Rewriter:
@@ -61,13 +60,7 @@ class Rewriter:
             terms = [(ONE, swapped), (self.extra_coeff, extra)]
         result = {}
         for coeff, w in terms:
-            for w2, c2 in self.normal_word(w).items():
-                v = result.get(w2)
-                v = coeff * c2 if v is None else v + coeff * c2
-                if v.is_zero():
-                    result.pop(w2, None)
-                else:
-                    result[w2] = v
+            accumulate(result, self.normal_word(w).items(), coeff)
         self.cache[word] = result
         return result
 
@@ -75,15 +68,8 @@ class Rewriter:
         """Normal form of a word -> coeff dict."""
         result = {}
         for word, coeff in terms.items():
-            if coeff.is_zero():
-                continue
-            for w, c in self.normal_word(word).items():
-                v = result.get(w)
-                v = coeff * c if v is None else v + coeff * c
-                if v.is_zero():
-                    result.pop(w, None)
-                else:
-                    result[w] = v
+            if not coeff.is_zero():
+                accumulate(result, self.normal_word(word).items(), coeff)
         return result
 
 
@@ -91,10 +77,10 @@ PLAIN = Rewriter(1)
 STARRED = Rewriter(-1)
 
 
-class AlgebraElem:
+class AlgebraElem(SparseSum):
     """An element of the quantum matrix algebra in normal-form coordinates."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None, rewriter=PLAIN, normalized=False):
         terms = terms or {}
@@ -103,50 +89,12 @@ class AlgebraElem:
         self.terms = terms
 
     @staticmethod
-    def zero():
-        return AlgebraElem({}, normalized=True)
-
-    @staticmethod
     def one():
         return AlgebraElem({(): ONE}, normalized=True)
 
     @staticmethod
     def generator(i, j):
         return AlgebraElem({((i, j),): ONE}, normalized=True)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for w, c in other.terms.items():
-            v = t.get(w)
-            v = c if v is None else v + c
-            if v.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = v
-        return AlgebraElem(t, normalized=True)
-
-    def __neg__(self):
-        return AlgebraElem({w: -c for w, c in self.terms.items()},
-                           normalized=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        if coeff.is_zero():
-            return AlgebraElem.zero()
-        return AlgebraElem({w: coeff * c for w, c in self.terms.items()},
-                           normalized=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElem):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -174,8 +122,9 @@ class AlgebraElem:
 
     @staticmethod
     def from_json(obj, rewriter=PLAIN):
-        terms = {tuple(tuple(x) for x in item["word"]):
-                 LaurentPoly.from_json(item["coeff"]) for item in obj}
+        terms = accumulate({}, ((tuple(tuple(x) for x in item["word"]),
+                                 LaurentPoly.from_json(item["coeff"]))
+                                for item in obj))
         return AlgebraElem(terms, rewriter=rewriter)
 
 
@@ -183,15 +132,7 @@ def multiply(a, b, rewriter=PLAIN):
     """Product in the algebra (concatenate words, then normalize)."""
     t = {}
     for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            w = w1 + w2
-            c = c1 * c2
-            v = t.get(w)
-            v = c if v is None else v + c
-            if v.is_zero():
-                t.pop(w, None)
-            else:
-                t[w] = v
+        accumulate(t, ((w1 + w2, c2) for w2, c2 in b.terms.items()), c1)
     return AlgebraElem(t, rewriter=rewriter)
 
 
@@ -205,6 +146,30 @@ def _sort_with_sign(seq, unit):
     return tuple(sorted(seq)), unit ** inversions(list(seq))
 
 
+def _quantum_minor(rows, cols, qexp, left):
+    """The shared body of the right and left quantum minors."""
+    if len(rows) != len(cols):
+        raise ValueError("row and column lists must have equal length")
+    rewriter = PLAIN if qexp == 1 else STARRED
+    row_exp = qexp if left else -qexp
+    sr = _sort_with_sign(rows, LaurentPoly.q(row_exp, -1))
+    sc = _sort_with_sign(cols, LaurentPoly.q(-row_exp, -1))
+    if sr is None or sc is None:
+        return AlgebraElem.zero()
+    (rows, sign_r), (cols, sign_c) = sr, sc
+    sign = sign_r * sign_c
+    terms = {}
+    # the indices are distinct, so every permutation gives its own word
+    for w in itertools.permutations(range(len(rows))):
+        inv = inversions(list(w))
+        if left:
+            word = tuple(zip(rows, (cols[t] for t in w)))
+        else:
+            word = tuple(zip((rows[t] for t in w), cols))
+        terms[word] = sign * LaurentPoly.q(qexp * inv, -1 if inv % 2 else 1)
+    return AlgebraElem(terms, rewriter=rewriter)
+
+
 def quantum_minor_right(rows, cols, qexp=1):
     """The right quantum minor with the given row and column indices.
 
@@ -212,24 +177,7 @@ def quantum_minor_right(rows, cols, qexp=1):
     a row swap contributes -q^-1 and a column swap -q (with q -> q^-1 when
     qexp = -1).  Repeated indices give zero.
     """
-    if len(rows) != len(cols):
-        raise ValueError("row and column lists must have equal length")
-    rewriter = PLAIN if qexp == 1 else STARRED
-    sr = _sort_with_sign(rows, LaurentPoly.q(-qexp, -1))
-    sc = _sort_with_sign(cols, LaurentPoly.q(qexp, -1))
-    if sr is None or sc is None:
-        return AlgebraElem.zero()
-    rows, sign_r = sr
-    cols, sign_c = sc
-    k = len(rows)
-    sign = sign_r * sign_c
-    terms = {}
-    for w in itertools.permutations(range(k)):
-        coeff = sign * LaurentPoly.q(qexp * inversions(list(w)),
-                                     -1 if inversions(list(w)) % 2 else 1)
-        word = tuple((rows[w[t]], cols[t]) for t in range(k))
-        terms[word] = terms.get(word, LaurentPoly.zero()) + coeff
-    return AlgebraElem(terms, rewriter=rewriter)
+    return _quantum_minor(rows, cols, qexp, left=False)
 
 
 def quantum_minor_left(rows, cols, qexp=1):
@@ -237,24 +185,7 @@ def quantum_minor_left(rows, cols, qexp=1):
 
     Sign rules are mirrored: a row swap contributes -q, a column swap -q^-1.
     """
-    if len(rows) != len(cols):
-        raise ValueError("row and column lists must have equal length")
-    rewriter = PLAIN if qexp == 1 else STARRED
-    sr = _sort_with_sign(rows, LaurentPoly.q(qexp, -1))
-    sc = _sort_with_sign(cols, LaurentPoly.q(-qexp, -1))
-    if sr is None or sc is None:
-        return AlgebraElem.zero()
-    rows, sign_r = sr
-    cols, sign_c = sc
-    k = len(rows)
-    sign = sign_r * sign_c
-    terms = {}
-    for w in itertools.permutations(range(k)):
-        coeff = sign * LaurentPoly.q(qexp * inversions(list(w)),
-                                     -1 if inversions(list(w)) % 2 else 1)
-        word = tuple((rows[t], cols[w[t]]) for t in range(k))
-        terms[word] = terms.get(word, LaurentPoly.zero()) + coeff
-    return AlgebraElem(terms, rewriter=rewriter)
+    return _quantum_minor(rows, cols, qexp, left=True)
 
 
 def quantum_det(n):

@@ -112,9 +112,6 @@ class Tableau:
         return Tableau(Partition(obj["shape"]), obj["rows"])
 
 
-EMPTY_TABLEAU = Tableau(Partition(), ())
-
-
 def is_standard(t):
     """Rows strictly increasing, columns nondecreasing downward."""
     for row in t.rows:

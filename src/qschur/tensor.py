@@ -5,7 +5,7 @@ with r plain and s dual factors uses concatenated tuples of length r+s
 (the first r entries index plain factors, the rest dual factors).
 
 An Endo stores a linear map as a sparse dict (source key, target key) ->
-coefficient, so phi(v_src) = sum entries[(src, tgt)] v_tgt.  Operator
+coefficient, so phi(v_src) = sum terms[(src, tgt)] v_tgt.  Operator
 actions follow the source text of the constructions: the braid-type
 generators act on the right, the quantum-group generators on the left;
 commutation of the two actions is a statement about the matrices and does
@@ -18,80 +18,39 @@ action derived mechanically from the antipode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 
-from .laurent import (LaurentPoly, ONE, neg_q_power, quantum_binomial,
-                      quantum_integer)
-from .linalg import Echelon, RationalFn, SpanSolver
-from .tableaux import Perm, multi_indices, weight
+from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
+from .linalg import (Echelon, RationalFn, SpanSolver, SparseSum, accumulate,
+                     clear_denominators)
+from .tableaux import multi_indices, weight
 
 
-class Endo:
+class Endo(SparseSum):
     """A sparse linear map between tensor-space bases."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries=None):
-        self.entries = {k: v for k, v in (entries or {}).items()
-                        if not v.is_zero()}
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items()
+                      if not v.is_zero()}
 
     @staticmethod
     def identity(keys):
         return Endo({(k, k): ONE for k in keys})
 
-    def is_zero(self):
-        return not self.entries
-
-    def __add__(self, other):
-        t = dict(self.entries)
-        for k, v in other.entries.items():
-            u = t.get(k)
-            u = v if u is None else u + v
-            if u.is_zero():
-                t.pop(k, None)
-            else:
-                t[k] = u
-        r = Endo.__new__(Endo)
-        r.entries = t
-        return r
-
-    def __neg__(self):
-        r = Endo.__new__(Endo)
-        r.entries = {k: -v for k, v in self.entries.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        if isinstance(coeff, int):
-            coeff = LaurentPoly.from_int(coeff)
-        if coeff.is_zero():
-            return Endo({})
-        r = Endo.__new__(Endo)
-        r.entries = {k: coeff * v for k, v in self.entries.items()}
-        return r
-
     def then(self, other):
         """The composite map: apply self first, then other."""
         by_src = {}
-        for (src, tgt), v in other.entries.items():
+        for (src, tgt), v in other.terms.items():
             by_src.setdefault(src, []).append((tgt, v))
         t = {}
-        for (src, mid), v in self.entries.items():
-            for tgt, w in by_src.get(mid, ()):
-                key = (src, tgt)
-                u = t.get(key)
-                c = v * w
-                u = c if u is None else u + c
-                if u.is_zero():
-                    t.pop(key, None)
-                else:
-                    t[key] = u
-        r = Endo.__new__(Endo)
-        r.entries = t
-        return r
+        for (src, mid), v in self.terms.items():
+            accumulate(t, (((src, tgt), w)
+                           for tgt, w in by_src.get(mid, ())), v)
+        return Endo._make(t)
 
     def commutator(self, other):
         return self.then(other) - other.then(self)
@@ -99,20 +58,15 @@ class Endo:
     def commutes_with(self, other):
         return self.commutator(other).is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return self.entries == other.entries
-
     def row(self, src):
-        return {tgt: v for (s, tgt), v in self.entries.items() if s == src}
+        return {tgt: v for (s, tgt), v in self.terms.items() if s == src}
 
     def modular(self, index, q0, p):
         """Dense row-major matrix of residues at q = q0 modulo p."""
         import numpy
         d = len(index)
         m = numpy.zeros((d, d), dtype=numpy.int64)
-        for (src, tgt), v in self.entries.items():
+        for (src, tgt), v in self.terms.items():
             m[index[src], index[tgt]] = v.eval_mod(q0, p)
         return m
 
@@ -225,48 +179,31 @@ def _tensor_combine(first, rest):
     return out
 
 
-def _family_matrix(n, kinds, i, a, k, single, qsign, cache):
+@functools.cache
+def _family_matrix(n, kinds, i, a, k, single, qsign):
     """Matrix of the family operator on a tensor of the given factor kinds.
 
     single builds the one-factor matrix; qsign = +1 for the K^a e^(k)
     family (coproduct weights q^(j(k-j)), second leg K^(a+j-k) e^(j)) and
     -1 for the f^(k) K^a family (weights q^(-j(k-j)), first leg
-    f^(k-j) K^(j+a)).
+    f^(k-j) K^(j+a)).  The result is cached and shared: do not modify it.
     """
-    key = (n, kinds, i, a, k)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if not kinds:
-        result = {((), ()): ONE} if k == 0 else {}
-        cache[key] = result
-        return result
+        return {((), ()): ONE} if k == 0 else {}
     out = {}
     for j in range(k + 1):
         if qsign > 0:
             head = single(n, kinds[0], i, a, k - j)
             tail = _family_matrix(n, kinds[1:], i, a + j - k, j,
-                                  single, qsign, cache)
+                                  single, qsign)
         else:
             head = single(n, kinds[0], i, j + a, k - j)
-            tail = _family_matrix(n, kinds[1:], i, a, j,
-                                  single, qsign, cache)
+            tail = _family_matrix(n, kinds[1:], i, a, j, single, qsign)
         if not head or not tail:
             continue
-        coeff = LaurentPoly.q(qsign * j * (k - j))
-        for kk, v in _tensor_combine(head, tail).items():
-            u = out.get(kk)
-            u = coeff * v if u is None else u + coeff * v
-            if u.is_zero():
-                out.pop(kk, None)
-            else:
-                out[kk] = u
-    cache[key] = out
+        accumulate(out, _tensor_combine(head, tail).items(),
+                   LaurentPoly.q(qsign * j * (k - j)))
     return out
-
-
-_E_CACHE = {}
-_F_CACHE = {}
 
 
 def ugen_on_kinds(n, kinds, g):
@@ -279,12 +216,10 @@ def ugen_on_kinds(n, kinds, g):
     tag = g[0]
     if tag == "e":
         _, i, l = g
-        return Endo(_family_matrix(n, tuple(kinds), i, 0, l,
-                                   _e_single, 1, _E_CACHE))
+        return Endo(_family_matrix(n, tuple(kinds), i, 0, l, _e_single, 1))
     if tag == "f":
         _, i, l = g
-        return Endo(_family_matrix(n, tuple(kinds), i, 0, l,
-                                   _f_single, -1, _F_CACHE))
+        return Endo(_family_matrix(n, tuple(kinds), i, 0, l, _f_single, -1))
     if tag == "qh":
         _, h = g
         entries = {}
@@ -391,10 +326,6 @@ def weight_projector(n, m, lam):
 
 # -- commutant and image-algebra dimensions -----------------------------------
 
-def _block_of(key, block_key):
-    return block_key(key) if block_key else None
-
-
 def _commutant_rows(gens, src_keys, tgt_keys):
     """Equation rows of X g = g X for an unknown X: src block -> tgt block.
 
@@ -405,12 +336,12 @@ def _commutant_rows(gens, src_keys, tgt_keys):
     src_set, tgt_set = set(src_keys), set(tgt_keys)
     for g in gens:
         rows = {}
-        for (b, c), v in g.entries.items():
+        for (b, c), v in g.terms.items():
             if b in tgt_set and c in tgt_set:
                 for a in src_keys:
                     row = rows.setdefault((a, c), {})
                     row[(a, b)] = row.get((a, b), LaurentPoly.zero()) + v
-        for (a, t), v in g.entries.items():
+        for (a, t), v in g.terms.items():
             if a in src_set and t in src_set:
                 for c in tgt_keys:
                     row = rows.setdefault((a, c), {})
@@ -431,7 +362,7 @@ def commutant_dim(gens, keys, block_key=None, want_basis=False):
     keys = list(keys)
     if block_key:
         for g in gens:
-            for (src, tgt) in g.entries:
+            for (src, tgt) in g.terms:
                 if block_key(src) != block_key(tgt):
                     raise ValueError("generators do not preserve the blocks")
         blocks = {}
@@ -457,7 +388,8 @@ def commutant_dim(gens, keys, block_key=None, want_basis=False):
             vecs = mat_nullspace(SparseMat(nrows, len(unknowns), entries))
             total += len(vecs)
             for vec in vecs:
-                basis.append(Endo(_cleared(dict(zip(unknowns, vec)))))
+                basis.append(Endo(clear_denominators(
+                    dict(zip(unknowns, vec)))))
         else:
             ech = Echelon()
             for row in _commutant_rows(gens, src_keys, tgt_keys):
@@ -468,27 +400,16 @@ def commutant_dim(gens, keys, block_key=None, want_basis=False):
     return total
 
 
-def _cleared(frac_dict):
-    """Scale a RationalFn dict by a common denominator; LaurentPoly values."""
-    from .laurent import exact_div
-    den = LaurentPoly.one()
-    for v in frac_dict.values():
-        if not v.is_zero() and not v.den.is_one():
-            den = den * v.den
-    return {k: v.num * exact_div(den, v.den)
-            for k, v in frac_dict.items() if not v.is_zero()}
-
-
-def image_algebra_dim(gens, keys, max_rounds=None):
+def image_algebra_dim(gens, keys):
     """Dimension of the unital algebra generated by gens (exact closure)."""
     keys = list(keys)
     ident = Endo.identity(keys)
     ech = Echelon()
     queue = []
     for mat in [ident] + list(gens):
-        if ech.insert(dict(mat.entries)):
+        if ech.insert(dict(mat.terms)):
             queue.append(mat)
-    bound = max_rounds if max_rounds is not None else len(keys) ** 2
+    bound = len(keys) ** 2
     head = 0
     rounds = 0
     while head < len(queue):
@@ -496,7 +417,7 @@ def image_algebra_dim(gens, keys, max_rounds=None):
         head += 1
         for g in gens:
             prod = mat.then(g)
-            if prod.entries and ech.insert(dict(prod.entries)):
+            if prod.terms and ech.insert(dict(prod.terms)):
                 queue.append(prod)
         rounds += 1
         if rounds > bound:
@@ -552,13 +473,11 @@ def image_algebra_dim_modular(gens, keys, q0=3, p=67108859):
 
 
 def _matmul_mod(a, b, p):
-    # entries < p < 2^26, products < 2^52: exact in int64 after per-row mod
-    import numpy
-    d = a.shape[0]
-    out = numpy.zeros_like(a)
-    for t in range(d):
-        out[t] = (a[t][:, None] % p * (b % p)).sum(axis=0) % p
-    return out
+    # residues are < p, so a sum of `step` products fits in int64; the
+    # inner dimension is cut into chunks of that length
+    step = (2 ** 63 - 1) // (p - 1) ** 2
+    return sum(a[:, i:i + step] % p @ (b[i:i + step] % p) % p
+               for i in range(0, a.shape[1], step)) % p
 
 
 def certified_image_dim(gens, keys, commutant_gens, block_key=None,
@@ -638,7 +557,7 @@ def verify_schur_weyl(n, r, s):
     quantum-group generator commutes with every walled generator.
     """
     from .mixed import quotient, standard_rational_bitableaux
-    t0 = time.time()
+    t0 = time.perf_counter()
     keys = mixed_basis(n, r, s)
     E, S, Shat = walled_generators(n, r, s)
     walled = ([E] if E is not None else []) + S + Shat
@@ -655,4 +574,4 @@ def verify_schur_weyl(n, r, s):
     return {"n": n, "r": r, "s": s,
             "commutant_dim": cdim, "image_dim": idim,
             "rational_bitableaux": count, "coeff_quotient_dim": qdim,
-            "ok": ok, "elapsed_ms": int((time.time() - t0) * 1000)}
+            "ok": ok, "elapsed_ms": int((time.perf_counter() - t0) * 1000)}

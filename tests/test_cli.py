@@ -1,5 +1,6 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
+import io
 import json
 
 import pytest
@@ -117,8 +118,10 @@ def test_caps_enforced(capsys):
     assert main(["tableaux", "--n", "2", "--m", "9"]) == 2
 
 
-def test_missing_parameters_exit_2(capsys):
+def test_missing_parameters_exit_2(capsys, tmp_path):
     assert main(["dims", "--n", "2"]) == 2
+    assert main(["straighten", "ord", "--n", "2",
+                 "--input", str(tmp_path / "missing.json")]) == 2
 
 
 def test_csv_format(capsys):
@@ -146,3 +149,29 @@ def test_verify_output_deterministic_modulo_timing(capsys):
         for suite in rep["suites"]:
             suite.pop("elapsed_ms")
     assert r1 == r2
+
+
+_BAD_PAIR = [{"plain": [[1, 2]], "starred": [[2, 1]], "coeff": {"0": "1"}}]
+
+
+@pytest.mark.parametrize("argv, elem", [
+    # a letter outside 1..n
+    (["straighten", "ord", "--n", "2"],
+     [{"word": [[1, 3], [1, 1]], "coeff": {"0": "1"}}]),
+    # an object where the list of terms belongs
+    (["straighten", "ord", "--n", "3"],
+     {"word": [[1, 1]], "coeff": {"0": "1"}}),
+    # a term without its keys, and one with a list as a coefficient
+    (["straighten", "ord", "--n", "3"], [{"coeff": {"0": "1"}}]),
+    (["straighten", "ord", "--n", "3"],
+     [{"word": [[1, 1]], "coeff": {"0": [1]}}]),
+    # a bidegree-(1,1) element declared as (2,1)
+    (["straighten", "mixed", "--n", "2", "--r", "2", "--s", "1"], _BAD_PAIR),
+    (["iota", "--n", "2", "--r", "2", "--s", "1"], _BAD_PAIR),
+])
+def test_malformed_input_exits_2(argv, elem, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(elem)))
+    assert main(argv + ["--input", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -6,9 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur.laurent import LaurentPoly, ONE
-from qschur.linalg import (Echelon, RationalFn, SparseMat, SpanSolver,
-                           mat_nullspace, mat_rank, mat_solve_membership)
+from qschur.laurent import LaurentPoly, ONE, ZERO
+from qschur.linalg import (Echelon, RationalFn, SparseMat, SparseSum,
+                           SpanSolver, accumulate, mat_nullspace, mat_rank,
+                           mat_solve_membership)
+from qschur.mixed import MixedElem
+from qschur.qmatrix import AlgebraElem
+from qschur.tensor import Endo
 
 _q = sympy.Symbol("q")
 
@@ -30,6 +34,31 @@ def test_rationalfn_normalization_routes():
     d = RationalFn(LaurentPoly.q(-2), LaurentPoly.from_int(-3))
     assert c == d
     assert not RationalFn(ONE, q + ONE).is_unit_denominator()
+
+
+def test_rationalfn_hash_agrees_with_eq():
+    q = LaurentPoly.q(1)
+    a = RationalFn((q + 1) * (q + 2), (q + 2) * (q + 3))
+    b = RationalFn(q + 1, q + 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert hash(RationalFn(q * q - ONE, q - ONE)) == hash(RationalFn(q + 1))
+
+
+def test_accumulate_scales_and_drops_cancelled_entries():
+    q = LaurentPoly.q(1)
+    acc = {"a": q, "b": ONE}
+    out = accumulate(acc, [("a", -ONE), ("b", ONE), ("c", ONE), ("z", ZERO)],
+                     q)
+    assert out is acc and acc == {"b": ONE + q, "c": q}
+    assert accumulate({"a": ONE}, [("a", -ONE)]) == {}
+
+
+def test_element_classes_share_the_sparse_sum_arithmetic():
+    shared = {"zero", "is_zero", "__add__", "__neg__", "__sub__", "scale",
+              "__eq__"}
+    for cls in (AlgebraElem, MixedElem, Endo):
+        assert issubclass(cls, SparseSum)
+        assert not shared & set(vars(cls)), cls
 
 
 def test_rationalfn_field_laws():

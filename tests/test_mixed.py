@@ -193,3 +193,9 @@ def test_mixed_json_roundtrip():
     elem = mixed_multiply(MixedElem.plain_gen(2, 1),
                           MixedElem.starred_gen(1, 2))
     assert MixedElem.from_json(elem.to_json()) == elem
+
+
+def test_mixed_from_json_sums_repeated_words():
+    term = {"plain": [[1, 2]], "starred": [[2, 1]], "coeff": {"0": "1"}}
+    elem = MixedElem.from_json([term, term])
+    assert elem.terms == {(((1, 2),), ((2, 1),)): LaurentPoly.from_int(2)}

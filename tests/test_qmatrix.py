@@ -158,3 +158,9 @@ def test_starred_rewriter_is_q_inverse_twist():
 def test_json_roundtrip():
     elem = multiply(gen(2, 1), gen(1, 2))
     assert AlgebraElem.from_json(elem.to_json()) == elem
+
+
+def test_from_json_sums_repeated_words():
+    term = {"word": [[1, 2]], "coeff": {"0": "1"}}
+    elem = AlgebraElem.from_json([term, term])
+    assert elem.terms == {((1, 2),): LaurentPoly.from_int(2)}

@@ -1,13 +1,16 @@
 """Tensor-space representations: anchors, relations, dualities."""
 
 import itertools
+import random
 
+import numpy
 import pytest
 
 from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_factorial,
                             quantum_integer)
 from qschur.tableaux import all_perms, weight
-from qschur.tensor import (Endo, certified_image_dim, commutant_dim,
+from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
+                           commutant_dim,
                            hecke_generator, hecke_word, image_algebra_dim,
                            image_algebra_dim_modular, k_vector, kappa,
                            kappa_mixed, mixed_basis, mixed_weight_block,
@@ -58,16 +61,16 @@ def test_E_squared_is_quantum_n_times_E():
 
 def test_single_factor_actions():
     e = ugen_on_kinds(2, ("v",), ("e", 1, 1))
-    assert e.entries == {((2,), (1,)): ONE}
+    assert e.terms == {((2,), (1,)): ONE}
     f = ugen_on_kinds(2, ("v",), ("f", 1, 1))
-    assert f.entries == {((1,), (2,)): ONE}
+    assert f.terms == {((1,), (2,)): ONE}
     # dual: e_1 v*_1 = -q^{-1} v*_2 ; K_1 v*_2 = q v*_2 ; f_1 v*_2 = -q v*_1
     ed = ugen_on_kinds(2, ("d",), ("e", 1, 1))
-    assert ed.entries == {((1,), (2,)): LaurentPoly.q(-1, -1)}
+    assert ed.terms == {((1,), (2,)): LaurentPoly.q(-1, -1)}
     kd = ugen_on_kinds(2, ("d",), ("qh", k_vector(2, 1)))
     assert kd.row((2,)) == {(2,): Q} and kd.row((1,)) == {(1,): QINV}
     fd = ugen_on_kinds(2, ("d",), ("f", 1, 1))
-    assert fd.entries == {((2,), (1,)): LaurentPoly.q(1, -1)}
+    assert fd.terms == {((2,), (1,)): LaurentPoly.q(1, -1)}
     # divided powers beyond the nilpotency degree vanish on one factor
     assert ugen_on_kinds(2, ("v",), ("e", 1, 2)).is_zero()
     assert ugen_on_kinds(2, ("d",), ("e", 1, 2)).is_zero()
@@ -169,7 +172,7 @@ def test_weight_projector_property():
                 u = weight_projector(n, m, lam)
                 for key in ordinary_basis(n, m):
                     wt = weight(key, n)
-                    c = u.entries.get((key, key), LaurentPoly.zero())
+                    c = u.terms.get((key, key), LaurentPoly.zero())
                     if wt == lam:
                         assert c == ONE
                     elif weight_le(wt, lam):
@@ -230,3 +233,26 @@ def test_verify_schur_weyl_anchor():
     assert rep["ok"]
     assert rep["commutant_dim"] == rep["image_dim"] == \
         rep["rational_bitableaux"] == rep["coeff_quotient_dim"] == 10
+
+
+P = 67108859  # the prime of the modular closure
+
+
+def test_matmul_mod_does_not_overflow_past_2048():
+    # 2049 products of (p-1)^2 overflow an int64 row sum
+    d = 2049
+    a = numpy.full((1, d), P - 1, dtype=numpy.int64)
+    b = numpy.full((d, d), P - 1, dtype=numpy.int64)
+    assert (_matmul_mod(a, b, P) == d).all()
+
+
+def test_matmul_mod_matches_python_reference():
+    rng = random.Random(81)
+    d = 81
+    a = [[rng.randrange(-P, 2 * P) for _ in range(d)] for _ in range(d)]
+    b = [[rng.randrange(-P, 2 * P) for _ in range(d)] for _ in range(d)]
+    want = [[sum(a[i][t] * b[t][j] for t in range(d)) % P
+             for j in range(d)] for i in range(d)]
+    got = _matmul_mod(numpy.array(a, dtype=numpy.int64),
+                      numpy.array(b, dtype=numpy.int64), P)
+    assert got.tolist() == want
