@@ -8,6 +8,7 @@ Reports are JSON (default) or CSV, written to stdout or --output.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -692,20 +693,23 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and then reused."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "suite_flag", None):
         args.suite = list(args.suite) + list(args.suite_flag)
     try:
         code, report = args.func(args)
-    except ParamError as exc:
+        _emit(report, args)
+    except (ParamError, ValueError, KeyError, OSError) as exc:
+        # OSError: an unreadable --input or unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError) as exc:  # OSError: bad --input
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(report, args)
     return code
 
 

@@ -1,10 +1,14 @@
 """Sparse exact linear algebra over Z[q,q^-1] and its fraction field.
 
-Two engines are provided:
+Three engines are provided:
 
 * :class:`Echelon` -- incremental fraction-free row reduction with
   Laurent-polynomial rows, used for ranks, nullities and canonical coset
   coordinates (no polynomial division ever happens during elimination).
+* :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
+  with combination tracking, for spanning sets whose transition matrix is
+  unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
+  It is the engine of ordinary straightening.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
   with combination tracking, used to express a vector in a given spanning
   set (membership queries with explicit coefficients).
@@ -321,6 +325,77 @@ class Echelon:
         return {c: scale * RationalFn(p) for c, p in res.items()}
 
 
+def _reduce_tracked(rows, v, combo):
+    """Clear the pivot columns of rows from v, tracking the combination.
+
+    rows holds (pivot column, row, combo) with row[pivot] == 1; v and
+    combo are modified in place and returned.
+    """
+    for pc, row, rcombo in rows:
+        coeff = v.get(pc)
+        if coeff is None:
+            continue
+        accumulate(v, row.items(), -coeff)
+        accumulate(combo, rcombo.items(), -coeff)
+    return v, combo
+
+
+def _append_pivot_row(rows, pc, v, combo):
+    """Clear column pc from rows with the new row v (v[pc] == 1), append it.
+
+    Back-substitution keeps the rows in reduced row echelon form.
+    """
+    for _, row0, combo0 in rows:
+        coeff = row0.get(pc)
+        if coeff is not None:
+            accumulate(row0, v.items(), -coeff)
+            accumulate(combo0, combo.items(), -coeff)
+    rows.append((pc, v, combo))
+
+
+class UnitSolver:
+    """RREF over Z[q,q^-1] with unit pivots and combination tracking.
+
+    Rows are dicts column -> LaurentPoly, inserted in order.  Each reduced
+    row is pivoted on its lowest column whose entry is a unit +-q^k and
+    normalized by that unit's inverse, so every entry stays a Laurent
+    polynomial.  A reduced row with no unit entry (a zero row included)
+    raises AssertionError.  A build without that error certifies that the
+    rows are independent with a transition matrix invertible over
+    Z[q,q^-1], so every solution of solve() is Laurent.  The converse does
+    not hold: the rows (2, 3), (1, 1) have determinant -1, yet the first
+    has no unit entry.
+    """
+
+    def __init__(self):
+        self.rows = []      # (pivot col, row dict, combo dict)
+
+    def insert(self, v):
+        """Insert the next spanning row."""
+        v, combo = _reduce_tracked(self.rows, dict(v),
+                                   {len(self.rows): LaurentPoly.one()})
+        units = [c for c, x in v.items() if x.is_unit()]
+        if not units:
+            raise AssertionError("no unit pivot: the rows are not "
+                                 "certified unimodular over Z[q,q^-1]")
+        pc = min(units)
+        sign, k = v[pc].unit_decompose()
+        inv = LaurentPoly.q(-k, sign)
+        _append_pivot_row(self.rows, pc, {c: x * inv for c, x in v.items()},
+                          {i: x * inv for i, x in combo.items()})
+
+    def solve(self, v):
+        """Laurent coefficients expressing v over the inserted rows, or None.
+
+        The returned dict maps insertion index -> nonzero LaurentPoly.
+        """
+        v = {c: x for c, x in v.items() if not x.is_zero()}
+        res, combo = _reduce_tracked(self.rows, v, {})
+        if res:
+            return None
+        return {i: -x for i, x in combo.items()}
+
+
 class SpanSolver:
     """RREF over the fraction field with combination tracking.
 
@@ -341,13 +416,7 @@ class SpanSolver:
 
     def _reduce(self, v, combo):
         v = {c: _coerce(x) for c, x in v.items() if not _coerce(x).is_zero()}
-        for pc, row, rcombo in self.rows:
-            coeff = v.get(pc)
-            if coeff is None or coeff.is_zero():
-                continue
-            accumulate(v, row.items(), -coeff)
-            accumulate(combo, rcombo.items(), -coeff)
-        return v, combo
+        return _reduce_tracked(self.rows, v, combo)
 
     def insert(self, v):
         """Insert the next spanning row; returns True if independent."""
@@ -359,16 +428,9 @@ class SpanSolver:
             return False
         pc = min(v)
         pval = v[pc]
-        v = {k: val / pval for k, val in v.items()}
-        combo = {k: val / pval for k, val in combo.items()}
-        # back-substitute to keep RREF
-        for _, row0, combo0 in self.rows:
-            coeff = row0.get(pc)
-            if coeff is None:
-                continue
-            accumulate(row0, v.items(), -coeff)
-            accumulate(combo0, combo.items(), -coeff)
-        self.rows.append((pc, v, combo))
+        _append_pivot_row(self.rows, pc,
+                          {k: val / pval for k, val in v.items()},
+                          {k: val / pval for k, val in combo.items()})
         return True
 
     def solve(self, v):

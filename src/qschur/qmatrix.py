@@ -17,10 +17,11 @@ parameter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .laurent import LaurentPoly, ONE, neg_q_power
-from .linalg import RationalFn, SpanSolver, SparseSum, accumulate
+from .linalg import RationalFn, SparseSum, UnitSolver, accumulate
 from .tableaux import content, enumerate_standard, partitions, inversions
 
 
@@ -271,8 +272,21 @@ def standard_bitableaux(n, m):
     return out
 
 
+@functools.cache
+def _standard_by_content(lam, n):
+    """The standard tableaux of shape lam, grouped by content."""
+    groups = {}
+    for t in enumerate_standard(lam, n):
+        groups.setdefault(content(t, n), []).append(t)
+    return groups
+
+
 class _StraightenCache:
-    """Per-(n, content-pair) membership solvers for the standard basis."""
+    """Per-(n, content-pair) unit-pivot solvers for the standard basis.
+
+    Each block is square and unimodular over Z[q,q^-1]; building its
+    solver without an AssertionError certifies that.
+    """
 
     def __init__(self):
         self.solvers = {}
@@ -282,22 +296,14 @@ class _StraightenCache:
         hit = self.solvers.get(key)
         if hit is not None:
             return hit
-        m = sum(alpha)
         index = []
-        solver = SpanSolver()
-        for lam in partitions(m, n):
-            tabs = enumerate_standard(lam, n)
-            lefts = [t for t in tabs if content(t, n) == alpha]
-            rights = [t for t in tabs if content(t, n) == beta]
-            for t in lefts:
-                for t2 in rights:
-                    bd = bideterminant(t, t2)
-                    row = {w: RationalFn(c) for w, c in bd.terms.items()}
-                    if solver.insert(row):
-                        index.append((t, t2))
-                    else:
-                        raise AssertionError(
-                            "standard bideterminants must be independent")
+        solver = UnitSolver()
+        for lam in partitions(sum(alpha), n):
+            groups = _standard_by_content(lam, n)
+            for t in groups.get(alpha, ()):
+                for t2 in groups.get(beta, ()):
+                    solver.insert(bideterminant(t, t2).terms)
+                    index.append((t, t2))
         result = (index, solver)
         self.solvers[key] = result
         return result
@@ -309,21 +315,20 @@ _STRAIGHTEN = _StraightenCache()
 def straighten(a, n):
     """Expand a homogeneous element over the standard bideterminant basis.
 
-    Returns a dict (t, t2) -> RationalFn.  The expansion exists and is
-    unique; failure to solve signals a bug.
+    Returns a dict (t, t2) -> RationalFn; every coefficient is Laurent.
+    The expansion exists and is unique; failure to solve signals a bug.
     """
     a.degree()  # raises on inhomogeneous input
     blocks = {}
     for w, c in a.terms.items():
-        blocks.setdefault(word_content(w, n), {})[w] = RationalFn(c)
+        blocks.setdefault(word_content(w, n), {})[w] = c
     out = {}
     for (alpha, beta), vec in blocks.items():
         index, solver = _STRAIGHTEN.solver(n, alpha, beta)
         combo = solver.solve(vec)
         if combo is None:
             raise AssertionError("element outside the standard-basis span")
+        # blocks have disjoint standard pairs, so nothing adds up here
         for pos, coeff in combo.items():
-            if not coeff.is_zero():
-                key = index[pos]
-                out[key] = out.get(key, RationalFn.zero()) + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            out[index[pos]] = RationalFn(coeff)
+    return out

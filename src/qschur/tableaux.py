@@ -70,7 +70,7 @@ def partitions(m, max_part=None):
 class Tableau:
     """A filling of a Young diagram with entries in 1..n, stored by rows."""
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ("shape", "rows", "_hash")
 
     def __init__(self, shape, rows):
         if not isinstance(shape, Partition):
@@ -80,6 +80,7 @@ class Tableau:
             raise ValueError("row lengths must match the shape")
         self.shape = shape
         self.rows = rows
+        self._hash = hash(rows)
 
     def size(self):
         return self.shape.size()
@@ -93,7 +94,7 @@ class Tableau:
         return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return self._hash
 
     def __lt__(self, other):
         if not isinstance(other, Tableau):

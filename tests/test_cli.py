@@ -1,9 +1,13 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
+import contextlib
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qschur.cli import main, suite_registry
 from qschur.laurent import ONE
@@ -124,6 +128,26 @@ def test_missing_parameters_exit_2(capsys, tmp_path):
                  "--input", str(tmp_path / "missing.json")]) == 2
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_such_dir" / "x.json"
+    assert main(["tableaux", "--n", "2", "--m", "2",
+                 "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_repeated_main_calls_do_not_accumulate_suites(capsys):
+    # the parser is built once and reused; --suite values must not leak
+    # from one call into the next
+    for _ in range(2):
+        code, out = run(capsys, "verify", "--suite", "centrality",
+                        "--n", "2")
+        assert code == 0
+        assert [rep["suite"] for rep in json.loads(out)["suites"]] == \
+            ["centrality"]
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, "tableaux", "--n", "2", "--m", "2",
                     "--format", "csv")
@@ -175,3 +199,77 @@ def test_malformed_input_exits_2(argv, elem, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+# -- fuzzed straighten/iota input ------------------------------------------
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _mostly(good, *bad):
+    """good fifteen times in sixteen, else one of bad."""
+    return st.integers(0, 15).flatmap(
+        lambda k: good if k else st.one_of(*bad))
+
+
+# mostly well-formed terms, so that the straightening itself runs too
+def _letters(n):
+    return _mostly(st.lists(st.integers(1, n), min_size=2, max_size=2),
+                   st.lists(st.integers(0, n + 2), min_size=2, max_size=2),
+                   _json_values)
+
+
+def _word(n, length):
+    return _mostly(st.lists(_letters(n), min_size=length, max_size=length),
+                   st.lists(_letters(n), max_size=3))
+
+
+_coeffs = _mostly(
+    st.dictionaries(st.integers(-2, 2).map(str), st.integers(-3, 3),
+                    min_size=1, max_size=2),
+    st.dictionaries(st.sampled_from(["0", "-1", "x", "1.5", ""]),
+                    st.sampled_from(["1", "-2", "q", "", "2.0"])
+                    | _json_values, max_size=2))
+
+
+@st.composite
+def _requests(draw):
+    """(argv, element) of a straighten or iota call reading stdin."""
+    argv = draw(st.sampled_from([["straighten", "ord"],
+                                 ["straighten", "mixed"], ["iota"]]))
+    n = draw(st.sampled_from([2, 3]))
+    argv = argv + ["--n", str(n), "--input", "-"]
+    if argv[1] == "ord":
+        lengths = {"word": draw(st.integers(0, 3))}
+    else:
+        r, s = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        lengths = {"plain": r, "starred": s}
+        argv += ["--r", str(r), "--s", str(s)]
+    term = st.fixed_dictionaries(
+        {h: _word(n, k) for h, k in lengths.items()} | {"coeff": _coeffs})
+    return argv, draw(_mostly(st.lists(term, min_size=1, max_size=3),
+                              _json_values))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(request=_requests())
+def test_fuzzed_input_exits_0_or_2_with_one_error_line(request):
+    argv, elem = request
+    text = json.dumps(elem)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

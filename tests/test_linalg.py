@@ -2,14 +2,15 @@
 
 import itertools
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur.laurent import LaurentPoly, ONE, ZERO
 from qschur.linalg import (Echelon, RationalFn, SparseMat, SparseSum,
-                           SpanSolver, accumulate, mat_nullspace, mat_rank,
-                           mat_solve_membership)
+                           SpanSolver, UnitSolver, accumulate, mat_nullspace,
+                           mat_rank, mat_solve_membership)
 from qschur.mixed import MixedElem
 from qschur.qmatrix import AlgebraElem
 from qschur.tensor import Endo
@@ -172,3 +173,39 @@ def test_spansolver_skips_dependent_rows():
     combo = solver.solve({0: RationalFn(LaurentPoly.q(1))})
     assert set(combo) == {0}
     assert combo[0] == RationalFn(LaurentPoly.q(1))
+
+
+def test_unitsolver_solves_over_the_laurent_ring():
+    q = LaurentPoly.q(1)
+    solver = UnitSolver()
+    solver.insert({0: q, 1: ONE + q})
+    solver.insert({0: ONE, 1: ONE})     # determinant -1
+    # (q, 1 + q) + q (1, 1) = (2q, 1 + 2q)
+    assert solver.solve({0: 2 * q, 1: ONE + 2 * q}) == {0: ONE, 1: q}
+    assert solver.solve({2: ONE}) is None
+    # a negative unit pivot: (-q, 1 - q) + q (1, 1) = (0, 1)
+    solver = UnitSolver()
+    solver.insert({0: -q, 1: ONE - q})
+    solver.insert({0: ONE, 1: ONE})
+    assert solver.solve({1: ONE}) == {0: ONE, 1: q}
+
+
+def test_unitsolver_raises_without_a_unit_pivot():
+    q = LaurentPoly.q(1)
+    # determinant 2: the second row reduces to (0, 2)
+    solver = UnitSolver()
+    solver.insert({0: ONE, 1: ONE})
+    with pytest.raises(AssertionError):
+        solver.insert({0: ONE, 1: 3 * ONE})
+    # determinant q^2 - 1: the second row reduces to (0, q - q^-1)
+    solver = UnitSolver()
+    solver.insert({0: q, 1: ONE})
+    with pytest.raises(AssertionError):
+        solver.insert({0: ONE, 1: q})
+    # a dependent row reduces to zero
+    with pytest.raises(AssertionError):
+        solver.insert({0: q, 1: ONE})
+    # determinant -1, but the first row has no unit entry: the greedy
+    # build is a certificate only when it succeeds
+    with pytest.raises(AssertionError):
+        UnitSolver().insert({0: 2 * ONE, 1: 3 * ONE})
