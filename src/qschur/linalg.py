@@ -8,10 +8,13 @@ Three engines are provided:
 * :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
   with combination tracking, for spanning sets whose transition matrix is
   unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
-  It is the engine of ordinary straightening.
+  It is the engine of ordinary straightening, hence of rational
+  straightening through iota, and of ``tensor.pi_restrict``.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
-  with combination tracking, used to express a vector in a given spanning
-  set (membership queries with explicit coefficients).
+  with combination tracking.  It is kept for what has no unit-pivot
+  certificate: the independent check of the rational basis theorem
+  (``mixed._RationalBasis``, also the tests' oracle) and the nullspace
+  basis of ``mat_nullspace``.
 
 Vectors are dicts from a sortable column key to a nonzero entry.  Every
 sparse sum in the package is built with :func:`accumulate` (add a scaled
@@ -276,17 +279,14 @@ class Echelon:
         v = {k: val for k, val in v.items() if not val.is_zero()}
         if scale is None:
             scale = RationalFn.one()
-        for c in self._order:
-            coeff = v.get(c)
-            if coeff is None:
-                continue
+        # rows have no entries in other pivot columns, so clearing one
+        # pivot leaves the others in v nonzero and the order is immaterial
+        for c in [c for c in v if c in self.pivots]:
             row = self.pivots[c]
             p = row[c]
             v = accumulate({k: val * p for k, val in v.items()},
-                           row.items(), -coeff)
+                           row.items(), -v[c])
             scale = scale / RationalFn(p)
-            if not v:
-                break
         if v:
             v, g = _strip_content(v)
             if g > 1:

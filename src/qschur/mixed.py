@@ -11,9 +11,11 @@ sandwiched cross relations
     (11)  sum_k q^(2k-2i) x_ki x*_ki - sum_k x_jk x*_jk
 
 is the mixed coefficient algebra of bidegree (r, s).  This module builds
-that quotient, the elements dfrak^(k), rational bideterminants and their
-straightening, and the embedding iota into the plain algebra of degree
-r + (n-1)s together with its one-sided inverse phi.
+that quotient, the elements dfrak^(k), rational bideterminants, the
+embedding iota into the plain algebra of degree r + (n-1)s with its
+one-sided inverse phi, and rational straightening, which goes through
+iota: each standard rational bideterminant maps to (-q)^c times one
+standard bideterminant.
 """
 
 from __future__ import annotations
@@ -224,12 +226,10 @@ def det_frak(k, n):
         raise ValueError("k must be nonnegative")
     result = MixedElem.one()
     for _ in range(k):
-        terms = {}
-        for (pw, sw), c in result.terms.items():
-            for l in range(1, n + 1):
-                key = (((1, l),) + pw, sw + ((1, l),))
-                terms[key] = terms.get(key, LaurentPoly.zero()) + c
-        result = MixedElem(terms)
+        result = MixedElem(accumulate({}, (
+            ((((1, l),) + pw, sw + ((1, l),)), c)
+            for (pw, sw), c in result.terms.items()
+            for l in range(1, n + 1))))
     return result
 
 
@@ -251,11 +251,8 @@ def check_detk(n, k):
             for l in range(1, n + 1):
                 lp = (i, l) if row_side else (l, i)
                 ls = (j, l) if row_side else (l, j)
-                key = ((lp,) + pw, sw + (ls,))
-                add = c * LaurentPoly.q(weight_exp(l))
-                v = terms.get(key)
-                v = add if v is None else v + add
-                terms[key] = v
+                accumulate(terms, [(((lp,) + pw, sw + (ls,)),
+                                    LaurentPoly.q(weight_exp(l)))], c)
         return terms
 
     for i in range(1, n + 1):
@@ -367,7 +364,11 @@ def standard_rational_bitableaux(n, r, s):
 
 
 class _RationalBasis:
-    """Membership solver over the standard rational bideterminant basis."""
+    """Quotient-coordinate solver over the standard rational basis.
+
+    An independent check of the basis theorem over the fraction field; it
+    does not use iota.
+    """
 
     def __init__(self, n, r, s):
         self.n, self.r, self.s = n, r, s
@@ -387,29 +388,7 @@ def rational_basis(n, r, s):
     return _RationalBasis(n, r, s)
 
 
-def rational_straighten(a, n, r, s, require_unit_denominators=True):
-    """Expand a coset over the standard rational bideterminant basis.
-
-    Returns a dict (k, rt, rt2) -> RationalFn.  Coefficients with non-unit
-    denominators are rejected by default: the basis is defined over the
-    Laurent ring, so denominators must cancel.
-    """
-    basis = rational_basis(n, r, s)
-    combo = basis.solver.solve(basis.quot.coords(a))
-    if combo is None:
-        raise AssertionError("coset outside the rational basis span")
-    out = {}
-    for pos, coeff in combo.items():
-        if coeff.is_zero():
-            continue
-        if require_unit_denominators and not coeff.is_unit_denominator():
-            raise AssertionError(
-                f"non-unit denominator in expansion: {coeff!r}")
-        out[basis.index[pos]] = coeff
-    return out
-
-
-# -- c exponents and phi ---------------------------------------------------
+# -- c exponents, phi and rational straightening -----------------------
 
 @functools.cache
 def c_exponent(rt, rt2, k, n, r, s):
@@ -435,29 +414,53 @@ def c_exponent(rt, rt2, k, n, r, s):
     return c
 
 
-def phi(a, n, r, s):
-    """The one-sided inverse of iota, as canonical coset coordinates.
-
-    Straightens a homogeneous element of degree r+(n-1)s over standard
-    bideterminants, keeps the shapes lam with sum(lam[:s]) >= (n-1)s, and
-    maps each surviving (t|t') to (-q)^(-c) times the rational
-    bideterminant of the corresponding rational bitableau.
-    """
-    if not a.is_zero() and a.degree() != r + (n - 1) * s:
-        raise ValueError("degree must be r + (n-1)s")
-    quot = quotient(n, r, s)
+def _to_rational(expansion, n, r, s):
+    """Send each (t|t') of shape lam with sum(lam[:s]) >= (n-1)s to the
+    (k, rt, rt2) whose iota image is (-q)^c (t|t'), coefficient times
+    (-q)^(-c); other shapes are dropped."""
     out = {}
-    for (t, t2), coeff in straighten(a, n).items():
-        lam = t.shape.parts
-        if sum(lam[:s]) < (n - 1) * s:
+    for (t, t2), coeff in expansion.items():
+        if sum(t.shape.parts[:s]) < (n - 1) * s:
             continue
         rt = ordinary_to_rational(t, n, s)
         rt2 = ordinary_to_rational(t2, n, s)
         k = r - rt.left.size()
         c = c_exponent(rt, rt2, k, n, r, s)
-        scalar = coeff * RationalFn(neg_q_power(-c))
+        out[(k, rt, rt2)] = coeff * RationalFn(neg_q_power(-c))
+    return out
+
+
+def phi(a, n, r, s):
+    """The one-sided inverse of iota, as canonical coset coordinates.
+
+    Straightens a homogeneous element of degree r+(n-1)s and sends each
+    term that _to_rational keeps to its rational bideterminant's coset.
+    """
+    if not a.is_zero() and a.degree() != r + (n - 1) * s:
+        raise ValueError("degree must be r + (n-1)s")
+    quot = quotient(n, r, s)
+    out = {}
+    terms = _to_rational(straighten(a, n), n, r, s)
+    for (k, rt, rt2), coeff in terms.items():
         accumulate(out, quot.coords(
-            rational_bideterminant(rt, rt2, k, n)).items(), scalar)
+            rational_bideterminant(rt, rt2, k, n)).items(), coeff)
+    return out
+
+
+def rational_straighten(a, n, r, s):
+    """Expand a bidegree-(r, s) coset over the standard rational basis.
+
+    Straightens iota(a) and maps it back with _to_rational.  Returns a dict
+    (k, rt, rt2) -> RationalFn; every coefficient is Laurent, since each
+    straightening block is certified unimodular and (-q)^(-c) is a unit.
+    A dropped shape or a term of another bidegree raises AssertionError.
+    """
+    if any(len(pw) != r or len(sw) != s for pw, sw in a.terms):
+        raise AssertionError("coset outside the rational basis span")
+    expansion = straighten(iota(a, n), n)
+    out = _to_rational(expansion, n, r, s)
+    if len(out) != len(expansion):
+        raise AssertionError("coset outside the rational basis span")
     return out
 
 

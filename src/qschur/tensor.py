@@ -23,7 +23,7 @@ import itertools
 import time
 
 from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
-from .linalg import (Echelon, RationalFn, SpanSolver, SparseSum, accumulate,
+from .linalg import (Echelon, SparseSum, UnitSolver, accumulate,
                      clear_denominators)
 from .tableaux import multi_indices, weight
 
@@ -510,29 +510,24 @@ def ordinary_weight_block(n):
 def pi_restrict(phi, n, r, s):
     """Restrict an operator on the plain space to the embedded mixed space.
 
-    Solves phi(kappa(v_src)) = sum_tgt lam[src, tgt] kappa(v_tgt) exactly;
-    raises if the image of the embedding is not preserved.
+    Solves phi(kappa(v_src)) = sum_tgt lam[src, tgt] kappa(v_tgt) exactly
+    over Z[q,q^-1]: the kappa rows have disjoint supports and entries
+    +-q^k, so they build a unit-pivot solver.  Raises ValueError if the
+    image of the embedding is not preserved.
     """
     kap = kappa_mixed(n, r, s)
     keys = mixed_basis(n, r, s)
-    solver = SpanSolver()
+    solver = UnitSolver()
     for key in keys:
-        if not solver.insert({t: RationalFn(v) for t, v in
-                              kap.row(key).items()}):
-            raise AssertionError("embedding rows must be independent")
+        solver.insert(kap.row(key))
     composed = kap.then(phi)
     entries = {}
     for key in keys:
-        vec = {t: RationalFn(v) for t, v in composed.row(key).items()}
-        combo = solver.solve(vec)
+        combo = solver.solve(composed.row(key))
         if combo is None:
             raise ValueError("operator does not preserve the embedded image")
         for pos, coeff in combo.items():
-            if coeff.is_zero():
-                continue
-            if not coeff.is_unit_denominator():
-                raise AssertionError("restriction has non-unit denominators")
-            entries[(key, keys[pos])] = coeff.num
+            entries[(key, keys[pos])] = coeff
     return Endo(entries)
 
 

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qschur import linalg
 from qschur.laurent import LaurentPoly, ONE, ZERO
 from qschur.linalg import (Echelon, RationalFn, SparseMat, SparseSum,
                            SpanSolver, UnitSolver, accumulate, mat_nullspace,
@@ -109,6 +110,44 @@ def test_echelon_reduce_is_linear_and_canonical():
     for k in keys:
         a = r1.get(k, RationalFn.zero()) + r2.get(k, RationalFn.zero())
         assert a == both.get(k, RationalFn.zero())
+
+
+def reduce_over_all_pivots(ech, v):
+    """The former Echelon.reduce loop, which visits every pivot in order."""
+    v = {k: val for k, val in v.items() if not val.is_zero()}
+    scale = RationalFn.one()
+    for c in ech._order:
+        coeff = v.get(c)
+        if coeff is None:
+            continue
+        row = ech.pivots[c]
+        p = row[c]
+        v = accumulate({k: val * p for k, val in v.items()},
+                       row.items(), -coeff)
+        scale = scale / RationalFn(p)
+        if not v:
+            break
+    if v:
+        v, g = linalg._strip_content(v)
+        if g > 1:
+            scale = scale * g
+    return v, scale
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=4),
+                max_size=5),
+       st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=5),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_echelon_reduce_matches_the_all_pivots_loop(rows, vecs):
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    for v in vecs + rows:
+        res, scale = ech.reduce(v)
+        old_res, old_scale = reduce_over_all_pivots(ech, v)
+        assert res == old_res
+        assert (scale.num, scale.den) == (old_scale.num, old_scale.den)
 
 
 def test_echelon_contains_span_members():

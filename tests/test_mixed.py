@@ -1,9 +1,11 @@
 """The mixed coefficient algebra, iota, rational straightening, phi."""
 
 import itertools
+import random
 
 import pytest
 
+from qschur import mixed
 from qschur.laurent import LaurentPoly, ONE, neg_q_power
 from qschur.linalg import Echelon, RationalFn
 from qschur.mixed import (MixedElem, c_exponent, canonical_coords,
@@ -15,8 +17,9 @@ from qschur.mixed import (MixedElem, c_exponent, canonical_coords,
                           rational_basis, rational_straighten,
                           standard_rational_bitableaux,
                           violating_instance_data)
-from qschur.qmatrix import AlgebraElem, multiply, quantum_det, straighten
-from qschur.tableaux import enumerate_standard_rational
+from qschur.qmatrix import (AlgebraElem, bideterminant, multiply,
+                            quantum_det, straighten)
+from qschur.tableaux import Partition, Tableau, enumerate_standard_rational
 
 
 def test_mixed_halves_commute_against_plain_model():
@@ -118,6 +121,60 @@ def test_rational_straighten_unit_denominators():
             expansion = rational_straighten(elem, n, r, s)
             for coeff in expansion.values():
                 assert coeff.is_unit_denominator()
+
+
+def basis_route(a, n, r, s):
+    """The former rational_straighten: solve quotient coordinates over the
+    fraction field against the standard rational bideterminants."""
+    basis = rational_basis(n, r, s)
+    combo = basis.solver.solve(quotient(n, r, s).coords(a))
+    assert combo is not None
+    return {basis.index[pos]: c for pos, c in combo.items()
+            if not c.is_zero()}
+
+
+# (2, 3, 3) is left out: its fraction-field basis takes minutes to build
+IOTA_ROUTE_POINTS = ([(2, r, s) for r in range(4) for s in range(4)
+                      if r + s and (r, s) != (3, 3)]
+                     + [(3, r, s) for r in range(4) for s in range(4)
+                        if 1 <= r + s <= 3])
+
+
+@pytest.mark.parametrize("n, r, s", IOTA_ROUTE_POINTS)
+def test_rational_straighten_matches_the_basis_route(n, r, s):
+    words = quotient(n, r, s).words
+    for word in words:
+        elem = MixedElem({word: ONE}, normalized=True)
+        assert rational_straighten(elem, n, r, s) == \
+            basis_route(elem, n, r, s)
+    rng = random.Random(f"{n}{r}{s}")
+    for _ in range(3):
+        elem = MixedElem({w: LaurentPoly({rng.randint(-2, 2):
+                                          rng.choice((-2, -1, 1, 3))})
+                          for w in rng.sample(words, min(5, len(words)))})
+        expansion = rational_straighten(elem, n, r, s)
+        assert expansion == basis_route(elem, n, r, s)
+        assert all(c.is_unit_denominator() for c in expansion.values())
+        assert phi(iota(elem, n), n, r, s) == quotient(n, r, s).coords(elem)
+
+
+def test_rational_straighten_rejects_another_bidegree():
+    # for n = 2 the iota images of bidegrees (2, 0) and (1, 1) both have
+    # degree 2, so only the bidegree check tells them apart
+    elem = MixedElem({(((1, 1), (2, 2)), ()): ONE}, normalized=True)
+    with pytest.raises(AssertionError):
+        rational_straighten(elem, 2, 1, 1)
+
+
+def test_a_shape_outside_the_rational_condition(monkeypatch):
+    # for n = 3, s = 1 the shape (1, 1) fails sum(lam[:1]) >= 2: phi drops
+    # that bideterminant, rational_straighten raises on it
+    t = Tableau(Partition((1, 1)), ((1,), (2,)))
+    img = bideterminant(t, t)
+    assert phi(img, 3, 0, 1) == {}
+    monkeypatch.setattr(mixed, "iota", lambda a, n: img)
+    with pytest.raises(AssertionError):
+        rational_straighten(MixedElem.starred_gen(1, 1), 3, 0, 1)
 
 
 def test_c_exponent_form():

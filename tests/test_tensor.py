@@ -144,12 +144,13 @@ def test_bicommutation():
 
 
 def test_pi_restrict_recovers_mixed_action():
-    for n in (2,):
-        for r, s in ((1, 1), (0, 1), (1, 0)):
-            m = r + (n - 1) * s
-            for g in uprime_generators(n, max(r + s, 1)):
-                big = ugen_ordinary(n, m, g)
-                assert pi_restrict(big, n, r, s) == ugen_mixed(n, r, s, g)
+    for n, r, s in itertools.product((2, 3), range(3), range(3)):
+        if r + s == 0:
+            continue
+        m = r + (n - 1) * s
+        for g in uprime_generators(n, r + s):
+            big = ugen_ordinary(n, m, g)
+            assert pi_restrict(big, n, r, s) == ugen_mixed(n, r, s, g)
 
 
 def test_pi_restrict_rejects_non_invariant_operator():
