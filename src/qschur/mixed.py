@@ -13,9 +13,7 @@ sandwiched cross relations
 is the mixed coefficient algebra of bidegree (r, s).  This module builds
 that quotient, the elements dfrak^(k), rational bideterminants, the
 embedding iota into the plain algebra of degree r + (n-1)s with its
-one-sided inverse phi, and rational straightening, which goes through
-iota: each standard rational bideterminant maps to (-q)^c times one
-standard bideterminant.
+one-sided inverse phi, and rational straightening, which goes via iota.
 """
 
 from __future__ import annotations
@@ -371,12 +369,11 @@ class _RationalBasis:
     """
 
     def __init__(self, n, r, s):
-        self.n, self.r, self.s = n, r, s
-        self.quot = quotient(n, r, s)
+        quot = quotient(n, r, s)
         self.index = []
         self.solver = SpanSolver()
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
-            vec = self.quot.coords(rational_bideterminant(rt, rt2, k, n))
+            vec = quot.coords(rational_bideterminant(rt, rt2, k, n))
             if not self.solver.insert(vec):
                 raise AssertionError(
                     "standard rational bideterminants must be independent")
@@ -388,7 +385,7 @@ def rational_basis(n, r, s):
     return _RationalBasis(n, r, s)
 
 
-# -- c exponents, phi and rational straightening -----------------------
+# -- c exponents, phi and rational straightening -------------------------
 
 @functools.cache
 def c_exponent(rt, rt2, k, n, r, s):
@@ -415,9 +412,12 @@ def c_exponent(rt, rt2, k, n, r, s):
 
 
 def _to_rational(expansion, n, r, s):
-    """Send each (t|t') of shape lam with sum(lam[:s]) >= (n-1)s to the
-    (k, rt, rt2) whose iota image is (-q)^c (t|t'), coefficient times
-    (-q)^(-c); other shapes are dropped."""
+    """Map a standard bideterminant expansion to rational bitableau pairs.
+
+    (t|t') of shape lam with sum(lam[:s]) >= (n-1)s goes to the (k, rt, rt2)
+    whose iota image is (-q)^c (t|t'), its coefficient times (-q)^(-c);
+    other shapes are dropped.
+    """
     out = {}
     for (t, t2), coeff in expansion.items():
         if sum(t.shape.parts[:s]) < (n - 1) * s:
