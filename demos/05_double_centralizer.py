@@ -10,7 +10,8 @@ from qschur.tensor import verify_schur_weyl
 
 
 def main():
-    for n, r, s in ((2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1)):
+    for n, r, s in ((2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1),
+                    (3, 2, 2), (4, 2, 1)):
         rep = verify_schur_weyl(n, r, s)
         print(f"n={n} r={r} s={s}:  commutant {rep['commutant_dim']}, "
               f"image {rep['image_dim']}, "

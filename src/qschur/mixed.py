@@ -411,6 +411,10 @@ def c_exponent(rt, rt2, k, n, r, s):
     return c
 
 
+# _to_rational meets the same few tableaux in every expansion
+_ordinary_to_rational = functools.cache(ordinary_to_rational)
+
+
 def _to_rational(expansion, n, r, s):
     """Map a standard bideterminant expansion to rational bitableau pairs.
 
@@ -422,8 +426,8 @@ def _to_rational(expansion, n, r, s):
     for (t, t2), coeff in expansion.items():
         if sum(t.shape.parts[:s]) < (n - 1) * s:
             continue
-        rt = ordinary_to_rational(t, n, s)
-        rt2 = ordinary_to_rational(t2, n, s)
+        rt = _ordinary_to_rational(t, n, s)
+        rt2 = _ordinary_to_rational(t2, n, s)
         k = r - rt.left.size()
         c = c_exponent(rt, rt2, k, n, r, s)
         out[(k, rt, rt2)] = coeff * RationalFn(neg_q_power(-c))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 
 from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
@@ -326,30 +327,52 @@ def weight_projector(n, m, lam):
 
 # -- commutant and image-algebra dimensions -----------------------------------
 
-def _commutant_rows(gens, src_keys, tgt_keys):
+def _blocks(terms, keys, block_key):
+    """Split the basis, and each generator's term dict, into blocks.
+
+    terms holds one dict (source key, target key) -> coefficient per
+    generator, LaurentPoly or residues mod p.  Returns (block keys, [the
+    terms inside the block]) pairs.  With a block_key every generator must
+    preserve each block; the commutant's unknown then splits into maps
+    between ordered block pairs, which are solved separately.
+    """
+    keys = list(keys)
+    if not block_key:
+        return [(keys, terms)]
+    blocks = {}
+    for k in keys:
+        b = block_key(k)
+        if b not in blocks:
+            blocks[b] = ([], [{} for _ in terms])
+        blocks[b][0].append(k)
+    for j, t in enumerate(terms):
+        for (src, tgt), v in t.items():
+            b = block_key(src)
+            if block_key(tgt) != b:
+                raise ValueError("generators do not preserve the blocks")
+            blocks[b][1][j][(src, tgt)] = v
+    return list(blocks.values())
+
+
+def _commutant_rows(src, tgt):
     """Equation rows of X g = g X for an unknown X: src block -> tgt block.
 
-    The entry of X then g at (a, c) is sum_b X[a,b] g[b,c]; of g then X it
-    is sum_t g[a,t] X[t,c].  One row per (generator, a, c), as a dict from
-    unknown position (row key, column key of X) to LaurentPoly.
+    src and tgt are (block keys, term dicts) pairs from _blocks.  The entry
+    of X then g at (a, c) is sum_b X[a,b] g[b,c]; of g then X it is
+    sum_t g[a,t] X[t,c].  One row per (generator, a, c), as a list of
+    (unknown position, coefficient) pairs; a position may repeat, and the
+    row is the sum.
     """
-    src_set, tgt_set = set(src_keys), set(tgt_keys)
-    for g in gens:
+    (src_keys, src_terms), (tgt_keys, tgt_terms) = src, tgt
+    for g_src, g_tgt in zip(src_terms, tgt_terms):
         rows = {}
-        for (b, c), v in g.terms.items():
-            if b in tgt_set and c in tgt_set:
-                for a in src_keys:
-                    row = rows.setdefault((a, c), {})
-                    row[(a, b)] = row.get((a, b), LaurentPoly.zero()) + v
-        for (a, t), v in g.terms.items():
-            if a in src_set and t in src_set:
-                for c in tgt_keys:
-                    row = rows.setdefault((a, c), {})
-                    row[(t, c)] = row.get((t, c), LaurentPoly.zero()) - v
-        for row in rows.values():
-            row = {k: v for k, v in row.items() if not v.is_zero()}
-            if row:
-                yield row
+        for (b, c), v in g_tgt.items():
+            for a in src_keys:
+                rows.setdefault((a, c), []).append(((a, b), v))
+        for (a, t), v in g_src.items():
+            for c in tgt_keys:
+                rows.setdefault((a, c), []).append(((t, c), -v))
+        yield from rows.values()
 
 
 def commutant_dim(gens, keys, block_key=None, want_basis=False):
@@ -359,32 +382,21 @@ def commutant_dim(gens, keys, block_key=None, want_basis=False):
     unknown operator then decomposes into independent maps between ordered
     block pairs, which are solved separately.
     """
-    keys = list(keys)
-    if block_key:
-        for g in gens:
-            for (src, tgt) in g.terms:
-                if block_key(src) != block_key(tgt):
-                    raise ValueError("generators do not preserve the blocks")
-        blocks = {}
-        for k in keys:
-            blocks.setdefault(block_key(k), []).append(k)
-        groups = [(a, b) for a in blocks.values() for b in blocks.values()]
-    else:
-        groups = [(keys, keys)]
+    blocks = _blocks([g.terms for g in gens], keys, block_key)
     total = 0
     basis = []
-    for src_keys, tgt_keys in groups:
-        nunk = len(src_keys) * len(tgt_keys)
+    for src, tgt in itertools.product(blocks, repeat=2):
+        rows = (accumulate({}, items) for items in _commutant_rows(src, tgt))
         if want_basis:
             from .linalg import SparseMat, mat_nullspace
-            unknowns = [(a, b) for a in src_keys for b in tgt_keys]
+            unknowns = list(itertools.product(src[0], tgt[0]))
             pos = {u: t for t, u in enumerate(unknowns)}
             entries = {}
             nrows = 0
-            for row in _commutant_rows(gens, src_keys, tgt_keys):
+            for row in rows:
                 for u, v in row.items():
                     entries[(nrows, pos[u])] = v
-                nrows += 1
+                nrows += bool(row)
             vecs = mat_nullspace(SparseMat(nrows, len(unknowns), entries))
             total += len(vecs)
             for vec in vecs:
@@ -392,11 +404,41 @@ def commutant_dim(gens, keys, block_key=None, want_basis=False):
                     dict(zip(unknowns, vec)))))
         else:
             ech = Echelon()
-            for row in _commutant_rows(gens, src_keys, tgt_keys):
-                ech.insert(row)
-            total += nunk - ech.rank
+            for row in rows:
+                if row:
+                    ech.insert(row)
+            total += len(src[0]) * len(tgt[0]) - ech.rank
     if want_basis:
         return total, basis
+    return total
+
+
+def commutant_dim_modular(gens, keys, block_key=None, q0=3, p=67108859):
+    """Upper bound for commutant_dim: the same equations at q = q0 mod p.
+
+    The commutant is the null space of the rows of _commutant_rows, and
+    specializing q can only drop the rank of those rows, so the nullity
+    mod p is a certified upper bound for the exact dimension.
+    """
+    import numpy
+    _check_modulus(q0, p)
+    blocks = _blocks([{k: v.eval_mod(q0, p) for k, v in g.terms.items()}
+                      for g in gens], keys, block_key)
+    total = 0
+    for src, tgt in itertools.product(blocks, repeat=2):
+        nunk = len(src[0]) * len(tgt[0])
+        pos = {u: t for t, u in enumerate(itertools.product(src[0], tgt[0]))}
+        at, vals = [], []
+        for i, items in enumerate(_commutant_rows(src, tgt)):
+            for u, v in items:
+                at.append(i * nunk + pos[u])
+                vals.append(v)
+        rows = numpy.zeros((at[-1] // nunk + 1 if at else 0) * nunk,
+                           dtype=numpy.int64)
+        numpy.add.at(rows, numpy.array(at, dtype=numpy.int64), vals)
+        ech = _ModEchelon(p, nunk)
+        ech.insert(rows.reshape(-1, nunk))
+        total += nunk - ech.rank
     return total
 
 
@@ -425,51 +467,18 @@ def image_algebra_dim(gens, keys):
     return ech.rank
 
 
-def image_algebra_dim_modular(gens, keys, q0=3, p=67108859):
-    """Lower bound for image_algebra_dim: the same closure at q = q0 mod p.
+# above this prime a single product of two residues overflows an int64
+_MAX_PRIME = 3037000500
 
-    Specializing q can only drop the dimension, so the result is a certified
-    lower bound for the exact dimension.
-    """
-    import numpy
-    keys = list(keys)
-    index = {k: t for t, k in enumerate(keys)}
-    d = len(keys)
-    mats = [g.modular(index, q0, p) for g in gens]
-    pivots = {}
 
-    def reduce_insert(flat):
-        # reduce the leading entry until it hits a fresh pivot column
-        flat = flat % p
-        while True:
-            nz = numpy.nonzero(flat)[0]
-            if nz.size == 0:
-                return False
-            col = int(nz[0])
-            hit = pivots.get(col)
-            if hit is None:
-                inv = pow(int(flat[col]), -1, p)
-                pivots[col] = (flat, inv)
-                return True
-            rowvec, inv = hit
-            flat = (flat - int(flat[col]) * inv % p * rowvec) % p
-
-    queue = [numpy.eye(d, dtype=numpy.int64)]
-    for m in mats:
-        queue.append(m % p)
-    kept = []
-    for m in queue:
-        if reduce_insert(m.reshape(-1).copy()):
-            kept.append(m)
-    head = 0
-    while head < len(kept):
-        m = kept[head]
-        head += 1
-        for g in mats:
-            prod = _matmul_mod(m, g, p)
-            if reduce_insert(prod.reshape(-1).copy()):
-                kept.append(prod)
-    return len(pivots)
+@functools.cache
+def _check_modulus(q0, p):
+    """Reject a specialization q = q0 mod p that the bounds cannot use."""
+    if not (isinstance(p, int) and 2 <= p <= _MAX_PRIME
+            and all(p % t for t in range(2, math.isqrt(p) + 1))):
+        raise ValueError(f"p must be a prime below {_MAX_PRIME + 1}")
+    if q0 % p == 0:
+        raise ValueError("q0 must be invertible mod p")
 
 
 def _matmul_mod(a, b, p):
@@ -480,24 +489,155 @@ def _matmul_mod(a, b, p):
                for i in range(0, a.shape[1], step)) % p
 
 
+class _ModEchelon:
+    """Incremental reduced row echelon form over F_p of dense vectors.
+
+    Rows are kept normalized and fully reduced (each pivot column is zero
+    in every other row), so one product with the pivot rows reduces any
+    vector.  Row operations touch only the rows and columns they change.
+    """
+
+    def __init__(self, p, width):
+        import numpy
+        self.p = p
+        self.cols = []     # pivot column of each row
+        self._rows = numpy.zeros((min(width, 8), width), dtype=numpy.int64)
+
+    @property
+    def rank(self):
+        return len(self.cols)
+
+    def insert(self, batch):
+        """Add the rows of a 2-D array to the span.
+
+        Returns the pivot rows that the batch added, as a 2-D array: with
+        the rows held before, they span the old span plus the batch.
+        """
+        import numpy
+        p = self.p
+        batch = batch % p
+        if self.cols:
+            batch = (batch - _matmul_mod(batch[:, self.cols],
+                                         self._rows[:self.rank], p)) % p
+        new = []
+        for i in range(len(batch)):
+            nz = batch[i].nonzero()[0]
+            if not nz.size:
+                continue
+            col = nz[0]
+            row = batch[i, nz] * pow(int(batch[i, col]), -1, p) % p
+            # clear col from the later rows of the batch and from the
+            # echelon, in the columns where row is nonzero
+            below = i + 1 + batch[i + 1:, col].nonzero()[0]
+            if below.size:
+                ix = below[:, None], nz
+                batch[ix] = (batch[ix] - batch[below, col, None] * row) % p
+            rank = self.rank
+            above = self._rows[:rank, col].nonzero()[0]
+            if above.size:
+                ix = above[:, None], nz
+                self._rows[ix] = (self._rows[ix]
+                                  - self._rows[above, col, None] * row) % p
+            if rank == len(self._rows):
+                self._rows = numpy.concatenate(
+                    [self._rows, numpy.zeros_like(self._rows)])
+            self._rows[rank, nz] = row
+            self.cols.append(int(col))
+            new.append(rank)
+        return self._rows[new]
+
+
+def image_algebra_dim_modular(gens, keys, q0=3, p=67108859):
+    """Lower bound for image_algebra_dim: the same closure at q = q0 mod p.
+
+    Specializing q can only drop the dimension, so the result is a certified
+    lower bound for the exact dimension.  The closure runs on blocks.  The
+    generators whose residue matrices are diagonal split the basis into
+    classes C of equal joint eigenvalues, and each idempotent 1_C is a
+    Lagrange polynomial in those generators: the product over them of
+    (g - c')/(c - c') for each other eigenvalue c' of g.  So 1_C lies in the
+    specialized algebra A for every q0 and p, and A is the direct sum of
+    the blocks 1_C A 1_D.  1_C A is spanned by the products of the identity
+    piece 1_C with pieces 1_E g 1_F of the other generators (a diagonal
+    generator is a scalar on each class), and its blocks are closed
+    separately.  At q0 = 1 there is a single class.
+    """
+    import numpy
+    _check_modulus(q0, p)
+    keys = list(keys)
+    index = {k: t for t, k in enumerate(keys)}
+    mats = [g.modular(index, q0, p) for g in gens]
+    moving = [numpy.count_nonzero(m) > numpy.count_nonzero(numpy.diagonal(m))
+              for m in mats]
+    eigenvalues = [numpy.diagonal(m).tolist()
+                   for m, mv in zip(mats, moving) if not mv]
+    classes = {}
+    for t in range(len(keys)):
+        classes.setdefault(tuple(ev[t] for ev in eigenvalues), []).append(t)
+    classes = [numpy.array(c) for c in classes.values()]
+    class_of = numpy.empty(len(keys), dtype=numpy.int64)
+    for c, members in enumerate(classes):
+        class_of[members] = c
+    pieces = []   # class E -> [(class F, 1_E g 1_F)]
+    for members in classes:
+        out = []
+        for m, mv in zip(mats, moving):
+            if not mv:
+                continue
+            rows = m[members]
+            for f in sorted(set(class_of[rows.any(axis=0)].tolist())):
+                out.append((f, rows[:, classes[f]]))
+        pieces.append(out)
+    total = 0
+    for c, members in enumerate(classes):
+        # close 1_C A round by round: each round multiplies the rows that
+        # last enlarged a block by every piece leaving that block
+        echelons = {}
+        products = {c: [numpy.eye(len(members), dtype=numpy.int64)]}
+        while products:
+            found = {}
+            for f, prods in products.items():
+                width = len(members) * len(classes[f])
+                ech = echelons.get(f)
+                if ech is None:
+                    ech = echelons[f] = _ModEchelon(p, width)
+                new = ech.insert(numpy.concatenate(
+                    [m.reshape(-1, width) for m in prods]))
+                if len(new):
+                    found[f] = new
+            products = {}
+            for e, rows in found.items():
+                rows = rows.reshape(-1, len(classes[e]))
+                for f, piece in pieces[e]:
+                    products.setdefault(f, []).append(
+                        _matmul_mod(rows, piece, p))
+        total += sum(ech.rank for ech in echelons.values())
+    return total
+
+
 def certified_image_dim(gens, keys, commutant_gens, block_key=None,
                         q0=3, p=67108859):
-    """Exact dimension of the unital algebra generated by gens.
+    """Exact dimension of the unital algebra A generated by gens.
 
-    Certified squeeze: every generator is checked (exactly) to commute with
-    commutant_gens, so the image algebra sits inside their commutant and the
-    commutant dimension is an upper bound; the modular closure is a lower
-    bound.  When the two meet, that value is the exact dimension.  Otherwise
-    the slow exact closure decides.
+    Certified squeeze closure_p <= dim A <= commutant <= commutant_p.
+    Every generator is checked (exactly) to commute with commutant_gens, so
+    A sits inside their commutant.  The modular closure is a lower bound
+    (image_algebra_dim_modular: it closes on the classes of the diagonal
+    generators, whose idempotents 1_C are Lagrange polynomials in them and
+    so lie in A), and the commutant nullity mod p is an upper bound.  When
+    the two ends meet, that value is exact.  Otherwise the exact commutant
+    is tried as the upper bound, and then the slow exact closure decides.
     """
     for g in gens:
         for w in commutant_gens:
             if not g.commutes_with(w):
                 raise ValueError("generators do not commute with the "
                                  "proposed commutant generators")
-    upper = commutant_dim(commutant_gens, keys, block_key=block_key)
     lower = image_algebra_dim_modular(gens, keys, q0=q0, p=p)
-    if lower == upper:
+    if lower == commutant_dim_modular(commutant_gens, keys,
+                                      block_key=block_key, q0=q0, p=p):
+        return lower
+    if lower == commutant_dim(commutant_gens, keys, block_key=block_key):
         return lower
     return image_algebra_dim(gens, keys)
 
@@ -550,6 +690,15 @@ def verify_schur_weyl(n, r, s):
     count of standard rational bitableaux, and the dimension of the
     coefficient quotient; ok is True when all four agree and every
     quantum-group generator commutes with every walled generator.
+
+    The first two come from the chain closure_p <= image <= commutant <=
+    commutant_p at q = 3 mod 67108859.  The closure mod p is a lower
+    bound; it runs on the classes of the K_i^(+-1), whose idempotents 1_C
+    are Lagrange polynomials in the K's and so lie in the image (see
+    image_algebra_dim_modular).  The middle step is the exact check that
+    the generators commute, and the commutant nullity mod p is an upper
+    bound.  Only when the two ends differ are the exact commutant_dim and
+    then image_algebra_dim computed.
     """
     from .mixed import quotient, standard_rational_bitableaux
     t0 = time.perf_counter()
@@ -558,11 +707,15 @@ def verify_schur_weyl(n, r, s):
     walled = ([E] if E is not None else []) + S + Shat
     ugens = [ugen_mixed(n, r, s, g) for g in uprime_generators(n, r + s)]
     commuting = all(u.commutes_with(w) for u in ugens for w in walled)
-    cdim = commutant_dim(walled, keys,
-                         block_key=mixed_weight_block(n, r, s))
+    block = mixed_weight_block(n, r, s)
     lower = image_algebra_dim_modular(ugens, keys)
-    idim = lower if (commuting and lower == cdim) \
-        else image_algebra_dim(ugens, keys)
+    if commuting and lower == commutant_dim_modular(walled, keys,
+                                                    block_key=block):
+        cdim = idim = lower
+    else:
+        cdim = commutant_dim(walled, keys, block_key=block)
+        idim = lower if (commuting and lower == cdim) \
+            else image_algebra_dim(ugens, keys)
     count = len(standard_rational_bitableaux(n, r, s))
     qdim = quotient(n, r, s).dimension()
     ok = commuting and cdim == idim == count == qdim

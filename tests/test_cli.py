@@ -55,6 +55,16 @@ def test_dims_reports_four_way_agreement(capsys):
         report["rational_bitableaux"] == report["coeff_quotient_dim"] == 10
 
 
+def test_dims_at_3_2_2(capsys):
+    # d = 81: the four-way check past the former desk scale
+    code, out = run(capsys, "dims", "--n", "3", "--r", "2", "--s", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"]
+    assert report["commutant_dim"] == report["image_dim"] == \
+        report["rational_bitableaux"] == report["coeff_quotient_dim"] == 994
+
+
 def test_basis_counts(capsys):
     code, out = run(capsys, "basis", "ord", "--n", "2", "--m", "2")
     assert code == 0 and json.loads(out)["count"] == 10

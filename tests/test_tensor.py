@@ -9,8 +9,9 @@ import pytest
 from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_factorial,
                             quantum_integer)
 from qschur.tableaux import all_perms, weight
+from qschur import tensor
 from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
-                           commutant_dim,
+                           commutant_dim, commutant_dim_modular,
                            hecke_generator, hecke_word, image_algebra_dim,
                            image_algebra_dim_modular, k_vector, kappa,
                            kappa_mixed, mixed_basis, mixed_weight_block,
@@ -257,3 +258,167 @@ def test_matmul_mod_matches_python_reference():
     got = _matmul_mod(numpy.array(a, dtype=numpy.int64),
                       numpy.array(b, dtype=numpy.int64), P)
     assert got.tolist() == want
+
+
+# -- the block closure and the modular commutant bound -----------------------
+
+def full_closure_modular(gens, keys, q0, p):
+    """The former closure: one d^2-entry span, no blocks (test oracle)."""
+    keys = list(keys)
+    index = {k: t for t, k in enumerate(keys)}
+    d = len(keys)
+    mats = [g.modular(index, q0, p) for g in gens]
+    pivots = {}
+
+    def reduce_insert(flat):
+        flat = flat % p
+        while True:
+            nz = numpy.nonzero(flat)[0]
+            if nz.size == 0:
+                return False
+            col = int(nz[0])
+            hit = pivots.get(col)
+            if hit is None:
+                pivots[col] = (flat, pow(int(flat[col]), -1, p))
+                return True
+            rowvec, inv = hit
+            flat = (flat - int(flat[col]) * inv % p * rowvec) % p
+
+    kept = [m for m in [numpy.eye(d, dtype=numpy.int64)] + mats
+            if reduce_insert(m.reshape(-1).copy())]
+    head = 0
+    while head < len(kept):
+        m = kept[head]
+        head += 1
+        for g in mats:
+            prod = _matmul_mod(m, g, p)
+            if reduce_insert(prod.reshape(-1).copy()):
+                kept.append(prod)
+    return len(pivots)
+
+
+def mixed_point(n, r, s):
+    keys = mixed_basis(n, r, s)
+    E, S, Shat = walled_generators(n, r, s)
+    walled = ([E] if E is not None else []) + S + Shat
+    ugens = [ugen_mixed(n, r, s, g) for g in uprime_generators(n, r + s)]
+    return keys, walled, ugens
+
+
+def ordinary_point(n, m, projectors=False):
+    keys = ordinary_basis(n, m)
+    hecke = [hecke_generator(n, m, i) for i in range(1, m)]
+    gens = [ugen_ordinary(n, m, g) for g in uprime_generators(n, m)]
+    if projectors:
+        # more diagonal generators than the K's, as in weight-projectors
+        gens += [ugen_ordinary(n, m, ("qh", tuple(int(t == j)
+                                                  for t in range(n))))
+                 for j in range(n)]
+        gens += [weight_projector(n, m, lam)
+                 for lam in itertools.product(range(m + 1), repeat=n)
+                 if sum(lam) == m]
+    return keys, hecke, gens
+
+
+SUITE_POINTS = [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 1, 0),
+                (2, 2, 0)]
+BENCH_POINTS = [(3, 2, 1), (3, 1, 2), (4, 1, 1), (2, 2, 2)]
+# the default prime with q0 = 3, q0 = 1 in characteristic 3, and the
+# roots of unity -1 mod 7 and i mod 5, where the K's do not separate weights
+SPECIALIZATIONS = [(3, P), (1, 3), (6, 7), (2, 5)]
+
+
+# the exact closure over Z[q,q^-1] takes minutes from (3,1,1) and (3,2) on
+@pytest.mark.parametrize("n, r, s", [(2, 1, 1), (2, 2, 1), (2, 1, 2),
+                                     (2, 1, 0), (2, 2, 0)])
+def test_block_closure_matches_exact_closure_mixed(n, r, s):
+    keys, _, ugens = mixed_point(n, r, s)
+    assert image_algebra_dim_modular(ugens, keys) == \
+        image_algebra_dim(ugens, keys)
+
+
+@pytest.mark.parametrize("n, m, projectors",
+                         [(2, 2, False), (2, 3, False), (2, 2, True)])
+def test_block_closure_matches_exact_closure_ordinary(n, m, projectors):
+    keys, _, gens = ordinary_point(n, m, projectors)
+    assert image_algebra_dim_modular(gens, keys) == \
+        image_algebra_dim(gens, keys)
+
+
+@pytest.mark.parametrize("q0, p", SPECIALIZATIONS)
+@pytest.mark.parametrize("n, r, s", BENCH_POINTS)
+def test_block_closure_matches_full_closure(n, r, s, q0, p):
+    keys, _, ugens = mixed_point(n, r, s)
+    assert image_algebra_dim_modular(ugens, keys, q0=q0, p=p) == \
+        full_closure_modular(ugens, keys, q0, p)
+
+
+@pytest.mark.parametrize("n, r, s", SUITE_POINTS)
+def test_modular_commutant_bounds_the_exact_commutant(n, r, s):
+    keys, walled, _ = mixed_point(n, r, s)
+    block = mixed_weight_block(n, r, s)
+    exact = commutant_dim(walled, keys, block_key=block)
+    assert commutant_dim_modular(walled, keys, block_key=block) == exact
+    assert commutant_dim_modular(walled, keys) == exact
+    for q0, p in SPECIALIZATIONS[1:]:
+        assert commutant_dim_modular(walled, keys, block_key=block,
+                                     q0=q0, p=p) >= exact
+
+
+def test_the_bounds_are_one_sided_at_a_degenerate_q0():
+    # diag(1, q) generates span{1, g} (dim 2) with the diagonal matrices
+    # as commutant (dim 2); at q0 = 1 it is the identity, so the closure
+    # drops to 1 and the commutant grows to 4
+    keys = [(1,), (2,)]
+    g = Endo({((1,), (1,)): ONE, ((2,), (2,)): Q})
+    assert image_algebra_dim_modular([g], keys, q0=1, p=3) == 1
+    assert commutant_dim_modular([g], keys, q0=1, p=3) == 4
+    assert image_algebra_dim([g], keys) == commutant_dim([g], keys) == 2
+    # neither end meets the exact commutant, so the exact closure decides
+    assert certified_image_dim([g], keys, [g], q0=1, p=3) == 2
+    assert certified_image_dim([g], keys, [g]) == 2
+
+
+def test_fallback_when_the_modular_bounds_differ(monkeypatch):
+    want = {pt: verify_schur_weyl(*pt) for pt in [(2, 1, 1), (2, 2, 1)]}
+    keys, hecke, gens = ordinary_point(2, 3)
+    want_image = certified_image_dim(gens, keys, hecke,
+                                     block_key=ordinary_weight_block(2))
+    real = tensor.commutant_dim_modular
+    monkeypatch.setattr(tensor, "commutant_dim_modular",
+                        lambda *a, **k: real(*a, **k) + 1)
+    for pt, rep in want.items():
+        got = verify_schur_weyl(*pt)
+        assert got["ok"]
+        got.pop("elapsed_ms"), rep.pop("elapsed_ms")
+        assert got == rep
+    assert certified_image_dim(gens, keys, hecke,
+                               block_key=ordinary_weight_block(2)) == \
+        want_image
+
+
+@pytest.mark.parametrize("q0, p", [
+    (3, 1),            # not a prime: the closure used to return 0
+    (3, 3037000501),   # 313 * 9702877, past the int64 bound
+    (3, 3037000507),   # prime, but a product of residues overflows
+    (3, 25),           # composite: (3,2) gave 45 instead of 36
+    (7, 7),            # q0 = 0 mod p is not invertible
+    (0, 5),
+])
+def test_bad_specialization_raises(q0, p):
+    keys, hecke, gens = ordinary_point(3, 2)
+    with pytest.raises(ValueError):
+        image_algebra_dim_modular(gens, keys, q0=q0, p=p)
+    with pytest.raises(ValueError):
+        commutant_dim_modular(hecke, keys, q0=q0, p=p)
+    with pytest.raises(ValueError):
+        certified_image_dim(gens, keys, hecke, q0=q0, p=p)
+
+
+def test_largest_admissible_prime():
+    # 3037000493 is the largest prime p with (p-1)^2 < 2^63, so
+    # _matmul_mod multiplies one column at a time
+    keys, hecke, gens = ordinary_point(2, 2)
+    p = 3037000493
+    assert image_algebra_dim_modular(gens, keys, p=p) == 10
+    assert commutant_dim_modular(hecke, keys, p=p) == 10
