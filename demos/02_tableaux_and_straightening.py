@@ -27,7 +27,7 @@ def main():
     rebuilt = AlgebraElem.zero()
     for (t, t2), coeff in expansion.items():
         print(f"  {coeff}  *  {t.rows} | {t2.rows}")
-        rebuilt = rebuilt + bideterminant(t, t2).scale(coeff.num)
+        rebuilt = rebuilt + bideterminant(t, t2).scale(coeff)
     print("Expansion reproduces the element:", rebuilt == elem)
 
 

@@ -4,13 +4,16 @@ Modules:
 
 * :mod:`qschur.laurent`  -- arithmetic in Z[q, q^-1], quantum integers.
 * :mod:`qschur.linalg`   -- exact sparse linear algebra over the Laurent
-  ring and its fraction field.
+  ring; its fraction field appears only as the scale of coset
+  coordinates.
 * :mod:`qschur.tableaux` -- partitions, (rational) tableaux, the
   rational/ordinary tableau correspondence, multi-indices, permutations.
 * :mod:`qschur.qmatrix`  -- the quantum matrix algebra, quantum minors,
-  bideterminants, Laplace expansions, straightening.
+  bideterminants, Laplace expansions, straightening with Laurent
+  coefficients.
 * :mod:`qschur.mixed`    -- the mixed coefficient algebra, the embedding
-  iota, rational bideterminants and their straightening, phi.
+  iota, rational bideterminants and their straightening (Laurent
+  coefficients too), phi.
 * :mod:`qschur.tensor`   -- Hecke/walled/quantum-group generator matrices
   on (mixed) tensor space, commutant and image dimensions, the end-to-end
   double-commutant verification.

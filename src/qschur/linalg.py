@@ -5,16 +5,18 @@ Three engines are provided:
 * :class:`Echelon` -- incremental fraction-free row reduction with
   Laurent-polynomial rows, used for ranks, nullities and canonical coset
   coordinates (no polynomial division ever happens during elimination).
+  Its coset scale is a :class:`RationalFn`; that scale, met in
+  ``mixed.MixedQuotient.coords``, ``mixed.phi`` and
+  ``mixed.DetIdealChecker``, is the fraction field's only job in the
+  package besides ``SpanSolver``.
 * :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
   with combination tracking, for spanning sets whose transition matrix is
   unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
   It is the engine of ordinary straightening, hence of rational
   straightening through iota, and of ``tensor.pi_restrict``.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
-  with combination tracking.  It is kept for what has no unit-pivot
-  certificate: the independent check of the rational basis theorem
-  (``mixed._RationalBasis``, also the tests' oracle) and the nullspace
-  basis of ``mat_nullspace``.
+  with combination tracking.  It serves only :func:`mat_nullspace`, the
+  nullspace basis over the fraction field.
 
 Vectors are dicts from a sortable column key to a nonzero entry.  Every
 sparse sum in the package is built with :func:`accumulate` (add a scaled
@@ -158,10 +160,6 @@ class RationalFn:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_unit_denominator(self):
-        """True iff the fraction lies in Z[q,q^-1] (denominator folded to 1)."""
-        return self.den.is_one()
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -218,16 +216,10 @@ class RationalFn:
         # fractions are not canonical, so they share one hash
         return hash(self.num) if self.den.is_one() else hash(RationalFn)
 
-    def subs(self, value):
-        return self.num.subs(value) / self.den.subs(value)
-
     def __repr__(self):
         if self.den.is_one():
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
 
 def _coerce(x):
@@ -445,31 +437,6 @@ class SpanSolver:
         return {k: -val for k, val in combo.items()}
 
 
-class SparseMat:
-    """A sparse matrix over the fraction field of Z[q,q^-1]."""
-
-    def __init__(self, rows, cols, entries=None):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        for (r, c), v in (entries or {}).items():
-            v = _coerce(v)
-            if not v.is_zero():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError("entry out of range")
-                self.entries[(r, c)] = v
-
-    def row_dicts(self):
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def transpose(self):
-        return SparseMat(self.cols, self.rows,
-                         {(c, r): v for (r, c), v in self.entries.items()})
-
-
 def clear_denominators(row):
     """Scale a RationalFn dict by the product of its denominators.
 
@@ -483,44 +450,22 @@ def clear_denominators(row):
             for k, v in row.items() if not v.is_zero()}
 
 
-def mat_rank(mat):
-    """Rank over the fraction field, by fraction-free elimination."""
-    ech = Echelon()
-    for row in mat.row_dicts():
-        if row:
-            ech.insert(clear_denominators(row))
-    return ech.rank
+def mat_nullspace(rows, ncols):
+    """A basis of the right nullspace over the fraction field.
 
-
-def mat_solve_membership(mat, vec):
-    """Express vec in the row span of mat.
-
-    vec is a sequence of RationalFn/LaurentPoly/int of length mat.cols.
-    Returns the coefficient list (length mat.rows) or None if vec is not in
-    the span.
+    rows are dicts column -> entry with columns in range(ncols); each basis
+    vector is a list of ncols RationalFn.
     """
-    if len(vec) != mat.cols:
-        raise ValueError("vector length must equal the column count")
-    solver = SpanSolver(mat.row_dicts())
-    v = {c: _coerce(x) for c, x in enumerate(vec) if not _coerce(x).is_zero()}
-    combo = solver.solve(v)
-    if combo is None:
-        return None
-    return [combo.get(i, RationalFn.zero()) for i in range(mat.rows)]
-
-
-def mat_nullspace(mat):
-    """A basis of the right nullspace over the fraction field."""
     # RREF of the rows, over the fraction field
-    solver = SpanSolver(mat.row_dicts())
+    solver = SpanSolver(rows)
     pivot_cols = sorted(pc for pc, _, _ in solver.rows)
     pivot_set = set(pivot_cols)
     rowmap = {pc: row for pc, row, _ in solver.rows}
     basis = []
-    for c in range(mat.cols):
+    for c in range(ncols):
         if c in pivot_set:
             continue
-        vec = [RationalFn.zero()] * mat.cols
+        vec = [RationalFn.zero()] * ncols
         vec[c] = RationalFn.one()
         for pc in pivot_cols:
             coeff = rowmap[pc].get(c)

@@ -22,7 +22,7 @@ import functools
 import itertools
 
 from .laurent import LaurentPoly, ONE, neg_q_power
-from .linalg import (Echelon, RationalFn, SpanSolver, SparseSum, accumulate,
+from .linalg import (Echelon, RationalFn, SparseSum, accumulate,
                      clear_denominators)
 from .qmatrix import (AlgebraElem, PLAIN, STARRED, bideterminant,
                       monomial_basis, multiply, quantum_det,
@@ -195,14 +195,8 @@ class MixedQuotient:
             parts.setdefault(_grade(w, self.n), {})[w] = c
         out = {}
         for grade, vec in parts.items():
-            ech = self.blocks.get(grade)
-            if ech is None:
-                for w, c in vec.items():
-                    out[w] = RationalFn(c)
-                continue
-            res, scale = ech.reduce(vec)
-            accumulate(out, ((w, RationalFn(p)) for w, p in res.items()),
-                       scale)
+            # a grade without relations reduces against an empty echelon
+            out.update((self.blocks.get(grade) or Echelon()).coords(vec))
         return out
 
     def is_coset_zero(self, a):
@@ -212,10 +206,6 @@ class MixedQuotient:
 @functools.cache
 def quotient(n, r, s):
     return MixedQuotient(n, r, s)
-
-
-def canonical_coords(a, n, r, s):
-    return quotient(n, r, s).coords(a)
 
 
 def det_frak(k, n):
@@ -362,19 +352,20 @@ def standard_rational_bitableaux(n, r, s):
 
 
 class _RationalBasis:
-    """Quotient-coordinate solver over the standard rational basis.
+    """The standard rational bideterminants, checked independent mod Y.
 
-    An independent check of the basis theorem over the fraction field; it
-    does not use iota.
+    An independent check of the basis theorem that does not use iota: the
+    coset coordinates of the bideterminants, cleared of denominators, have
+    full fraction-free Echelon rank.  index lists the (k, rt, rt2).
     """
 
     def __init__(self, n, r, s):
         quot = quotient(n, r, s)
         self.index = []
-        self.solver = SpanSolver()
+        ech = Echelon()
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
             vec = quot.coords(rational_bideterminant(rt, rt2, k, n))
-            if not self.solver.insert(vec):
+            if not ech.insert(clear_denominators(vec)):
                 raise AssertionError(
                     "standard rational bideterminants must be independent")
             self.index.append((k, rt, rt2))
@@ -403,9 +394,9 @@ def c_exponent(rt, rt2, k, n, r, s):
     if t != rational_to_ordinary(rt, n, s) or \
             t2 != rational_to_ordinary(rt2, n, s):
         raise AssertionError("iota image tableaux do not match")
-    if not coeff.is_unit_denominator() or not coeff.num.is_unit():
+    if not coeff.is_unit():
         raise AssertionError(f"iota image coefficient not a unit: {coeff!r}")
-    sign, c = coeff.num.unit_decompose()
+    sign, c = coeff.unit_decompose()
     if sign != (-1) ** (c % 2):
         raise AssertionError("iota image coefficient is not a power of -q")
     return c
@@ -430,7 +421,7 @@ def _to_rational(expansion, n, r, s):
         rt2 = _ordinary_to_rational(t2, n, s)
         k = r - rt.left.size()
         c = c_exponent(rt, rt2, k, n, r, s)
-        out[(k, rt, rt2)] = coeff * RationalFn(neg_q_power(-c))
+        out[(k, rt, rt2)] = coeff * neg_q_power(-c)
     return out
 
 
@@ -446,8 +437,9 @@ def phi(a, n, r, s):
     out = {}
     terms = _to_rational(straighten(a, n), n, r, s)
     for (k, rt, rt2), coeff in terms.items():
-        accumulate(out, quot.coords(
-            rational_bideterminant(rt, rt2, k, n)).items(), coeff)
+        # coset coordinates are RationalFn, which a LaurentPoly cannot scale
+        accumulate(out, quot.coords(rational_bideterminant(
+            rt, rt2, k, n)).items(), RationalFn(coeff))
     return out
 
 
@@ -455,8 +447,8 @@ def rational_straighten(a, n, r, s):
     """Expand a bidegree-(r, s) coset over the standard rational basis.
 
     Straightens iota(a) and maps it back with _to_rational.  Returns a dict
-    (k, rt, rt2) -> RationalFn; every coefficient is Laurent, since each
-    straightening block is certified unimodular and (-q)^(-c) is a unit.
+    (k, rt, rt2) -> LaurentPoly: each straightening block is certified
+    unimodular and (-q)^(-c) is a unit, so no fraction arises.
     A dropped shape or a term of another bidegree raises AssertionError.
     """
     if any(len(pw) != r or len(sw) != s for pw, sw in a.terms):

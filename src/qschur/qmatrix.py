@@ -21,7 +21,7 @@ import functools
 import itertools
 
 from .laurent import LaurentPoly, ONE, neg_q_power
-from .linalg import RationalFn, SparseSum, UnitSolver, accumulate
+from .linalg import SparseSum, UnitSolver, accumulate
 from .tableaux import content, enumerate_standard, partitions, inversions
 
 
@@ -315,8 +315,9 @@ _STRAIGHTEN = _StraightenCache()
 def straighten(a, n):
     """Expand a homogeneous element over the standard bideterminant basis.
 
-    Returns a dict (t, t2) -> RationalFn; every coefficient is Laurent.
-    The expansion exists and is unique; failure to solve signals a bug.
+    Returns a dict (t, t2) -> LaurentPoly: every block is unimodular over
+    Z[q,q^-1].  The expansion exists and is unique; failure to solve
+    signals a bug.
     """
     a.degree()  # raises on inhomogeneous input
     blocks = {}
@@ -329,6 +330,5 @@ def straighten(a, n):
         if combo is None:
             raise AssertionError("element outside the standard-basis span")
         # blocks have disjoint standard pairs, so nothing adds up here
-        for pos, coeff in combo.items():
-            out[index[pos]] = RationalFn(coeff)
+        out.update((index[pos], coeff) for pos, coeff in combo.items())
     return out

@@ -24,8 +24,7 @@ import math
 import time
 
 from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
-from .linalg import (Echelon, SparseSum, UnitSolver, accumulate,
-                     clear_denominators)
+from .linalg import Echelon, SparseSum, UnitSolver, accumulate
 from .tableaux import multi_indices, weight
 
 
@@ -375,7 +374,7 @@ def _commutant_rows(src, tgt):
         yield from rows.values()
 
 
-def commutant_dim(gens, keys, block_key=None, want_basis=False):
+def commutant_dim(gens, keys, block_key=None):
     """Dimension of the joint commutant of gens on the given basis.
 
     If block_key is given, every generator must preserve each block; the
@@ -384,32 +383,13 @@ def commutant_dim(gens, keys, block_key=None, want_basis=False):
     """
     blocks = _blocks([g.terms for g in gens], keys, block_key)
     total = 0
-    basis = []
     for src, tgt in itertools.product(blocks, repeat=2):
-        rows = (accumulate({}, items) for items in _commutant_rows(src, tgt))
-        if want_basis:
-            from .linalg import SparseMat, mat_nullspace
-            unknowns = list(itertools.product(src[0], tgt[0]))
-            pos = {u: t for t, u in enumerate(unknowns)}
-            entries = {}
-            nrows = 0
-            for row in rows:
-                for u, v in row.items():
-                    entries[(nrows, pos[u])] = v
-                nrows += bool(row)
-            vecs = mat_nullspace(SparseMat(nrows, len(unknowns), entries))
-            total += len(vecs)
-            for vec in vecs:
-                basis.append(Endo(clear_denominators(
-                    dict(zip(unknowns, vec)))))
-        else:
-            ech = Echelon()
-            for row in rows:
-                if row:
-                    ech.insert(row)
-            total += len(src[0]) * len(tgt[0]) - ech.rank
-    if want_basis:
-        return total, basis
+        ech = Echelon()
+        for items in _commutant_rows(src, tgt):
+            row = accumulate({}, items)
+            if row:
+                ech.insert(row)
+        total += len(src[0]) * len(tgt[0]) - ech.rank
     return total
 
 
@@ -615,6 +595,27 @@ def image_algebra_dim_modular(gens, keys, q0=3, p=67108859):
     return total
 
 
+def _squeeze(gens, keys, commutant_gens, block_key=None, q0=3, p=67108859,
+             commuting=True):
+    """(commutant dim, image dim) by closure_p <= image <= commutant <=
+    commutant_p.
+
+    commuting says that every generator commutes with commutant_gens, so
+    that the image sits inside their commutant.  When the two modular ends
+    meet, that value is both dims.  Otherwise the exact commutant is
+    computed, and the slow exact closure decides the image unless the
+    closure bound already equals that commutant.
+    """
+    lower = image_algebra_dim_modular(gens, keys, q0=q0, p=p)
+    if commuting and lower == commutant_dim_modular(
+            commutant_gens, keys, block_key=block_key, q0=q0, p=p):
+        return lower, lower
+    cdim = commutant_dim(commutant_gens, keys, block_key=block_key)
+    if commuting and lower == cdim:
+        return cdim, lower
+    return cdim, image_algebra_dim(gens, keys)
+
+
 def certified_image_dim(gens, keys, commutant_gens, block_key=None,
                         q0=3, p=67108859):
     """Exact dimension of the unital algebra A generated by gens.
@@ -633,13 +634,7 @@ def certified_image_dim(gens, keys, commutant_gens, block_key=None,
             if not g.commutes_with(w):
                 raise ValueError("generators do not commute with the "
                                  "proposed commutant generators")
-    lower = image_algebra_dim_modular(gens, keys, q0=q0, p=p)
-    if lower == commutant_dim_modular(commutant_gens, keys,
-                                      block_key=block_key, q0=q0, p=p):
-        return lower
-    if lower == commutant_dim(commutant_gens, keys, block_key=block_key):
-        return lower
-    return image_algebra_dim(gens, keys)
+    return _squeeze(gens, keys, commutant_gens, block_key, q0, p)[1]
 
 
 def ordinary_weight_block(n):
@@ -707,15 +702,8 @@ def verify_schur_weyl(n, r, s):
     walled = ([E] if E is not None else []) + S + Shat
     ugens = [ugen_mixed(n, r, s, g) for g in uprime_generators(n, r + s)]
     commuting = all(u.commutes_with(w) for u in ugens for w in walled)
-    block = mixed_weight_block(n, r, s)
-    lower = image_algebra_dim_modular(ugens, keys)
-    if commuting and lower == commutant_dim_modular(walled, keys,
-                                                    block_key=block):
-        cdim = idim = lower
-    else:
-        cdim = commutant_dim(walled, keys, block_key=block)
-        idim = lower if (commuting and lower == cdim) \
-            else image_algebra_dim(ugens, keys)
+    cdim, idim = _squeeze(ugens, keys, walled, mixed_weight_block(n, r, s),
+                          commuting=commuting)
     count = len(standard_rational_bitableaux(n, r, s))
     qdim = quotient(n, r, s).dimension()
     ok = commuting and cdim == idim == count == qdim

@@ -8,6 +8,7 @@ import pytest
 
 from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_factorial,
                             quantum_integer)
+from qschur.linalg import accumulate, clear_denominators, mat_nullspace
 from qschur.tableaux import all_perms, weight
 from qschur import tensor
 from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
@@ -197,9 +198,16 @@ def test_commutant_E_anchor():
 
 def test_commutant_basis_members_commute():
     E, _, _ = walled_generators(2, 1, 1)
-    dim, basis = commutant_dim([E], mixed_basis(2, 1, 1), want_basis=True)
-    assert dim == len(basis) == 10
-    for b in basis:
+    keys = mixed_basis(2, 1, 1)
+    block = (keys, [E.terms])
+    unknowns = list(itertools.product(keys, keys))
+    pos = {u: t for t, u in enumerate(unknowns)}
+    rows = [accumulate({}, ((pos[u], v) for u, v in items))
+            for items in tensor._commutant_rows(block, block)]
+    basis = mat_nullspace(rows, len(unknowns))
+    assert len(basis) == commutant_dim([E], keys) == 10
+    for vec in basis:
+        b = Endo(clear_denominators(dict(zip(unknowns, vec))))
         assert b.commutes_with(E)
 
 
