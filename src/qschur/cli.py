@@ -19,7 +19,7 @@ from . import qmatrix as qm
 from . import tableaux as tb
 from . import tensor as tn
 from .laurent import LaurentPoly, ONE, quantum_integer
-from .linalg import Echelon
+from .linalg import Echelon, accumulate
 
 MAX_N, MAX_RS, MAX_M = 3, 2, 4
 
@@ -132,7 +132,8 @@ def _braid_ok(gens, ident):
     return True
 
 
-def suite_hecke_relations(ns=(2, 3), ms=(2, 3, 4), rss=None):
+def suite_hecke_relations(ns=(2, 3), ms=(2, 3, 4),
+                          rss=((1, 2), (2, 2), (2, 1))):
     """Quadratic, braid and distant commutation for S_i and Shat_j."""
     cases = []
     for n in ns:
@@ -141,7 +142,7 @@ def suite_hecke_relations(ns=(2, 3), ms=(2, 3, 4), rss=None):
             gens = [tn.hecke_generator(n, m, i) for i in range(1, m)]
             cases.append(_case(_braid_ok(gens, ident), n=n, m=m,
                                space="ordinary"))
-        for r, s in (rss or [(1, 2), (2, 2), (2, 1)]):
+        for r, s in rss:
             ident = tn.Endo.identity(tn.mixed_basis(n, r, s))
             _, S, Shat = tn.walled_generators(n, r, s)
             ok = _braid_ok(S, ident) and _braid_ok(Shat, ident) and \
@@ -167,27 +168,93 @@ def suite_walled_relations(ns=(2, 3), rss=((1, 1), (2, 1), (1, 2), (2, 2))):
     return cases
 
 
-def suite_kernel_y(ns=(2, 3), rs_max=2):
-    """iota kills the relation span and is injective on the quotient."""
+def _grid(rs_max, r=None, s=None):
+    """The (r, s) points of a grid suite: r and s each in 0..rs_max, or
+    only the value given for it."""
+    return list(itertools.product(
+        (r,) if r is not None else range(rs_max + 1),
+        (s,) if s is not None else range(rs_max + 1)))
+
+
+def _iota_from_images(a, images):
+    """iota(a) as a term dict: sum_w a[w] images[w], images[w] = iota(w).
+
+    iota is defined term by term as exactly this sum, so the result is
+    iota(a) itself, computed from images reused across elements.
+    """
+    out = {}
+    for w, c in a.terms.items():
+        accumulate(out, images[w].terms.items(), c)
+    return out
+
+
+def _image_rank_modular(images, n, q0=3, p=67108859):
+    """Rank of the images at q = q0 mod p, in normal-word coordinates.
+
+    Specializing q can only drop the rank, so this is a lower bound for
+    the rank over Q(q).  iota preserves row and column content, so each
+    image lies in one content block; blocks have disjoint columns and
+    their ranks add up.
+    """
+    import numpy
+    tn._check_modulus(q0, p)
+    blocks = {}
+    for img in images:
+        contents = {qm.word_content(w, n) for w in img.terms}
+        if len(contents) > 1:
+            raise AssertionError("iota image is not content-homogeneous")
+        if contents:
+            blocks.setdefault(contents.pop(), []).append(img)
+    rank = 0
+    for rows in blocks.values():
+        cols = {}
+        for img in rows:
+            for w in img.terms:
+                cols.setdefault(w, len(cols))
+        mat = numpy.zeros((len(rows), len(cols)), dtype=numpy.int64)
+        for i, img in enumerate(rows):
+            for w, c in img.terms.items():
+                mat[i, cols[w]] = c.eval_mod(q0, p)
+        ech = tn._ModEchelon(p, len(cols))
+        ech.insert(mat)
+        rank += ech.rank
+    return rank
+
+
+def suite_kernel_y(ns=(2, 3), rs_max=2, r=None, s=None):
+    """iota kills the relation span Y and is injective on the quotient.
+
+    iota is computed once per quotient word.  killed: each relation
+    generator g has sum_w g[w] iota(w) = 0, which is iota(g) exactly.
+    The image rank then sits in the chain rank_p <= image rank <= quotient
+    dim: the lower step is the rank mod p of the images at q = 3
+    (_image_rank_modular), and the upper step holds because iota factors
+    through the exact quotient.  When rank_p meets the quotient dim, that
+    is the image rank.  Otherwise, or if a generator is not killed, the
+    images are straightened (a unimodular change of basis, so the rank is
+    the same) and ranked exactly with an Echelon.
+    """
     cases = []
+    grid = _grid(rs_max, r, s)
     for n in ns:
-        for r in range(rs_max + 1):
-            for s in range(rs_max + 1):
-                if r + s == 0:
-                    continue
-                gens = mx.cross_relation_generators(n, r, s)
-                killed = all(mx.iota(g, n).is_zero() for g in gens)
-                quot = mx.quotient(n, r, s)
+        for r, s in grid:
+            if r + s == 0:
+                continue
+            gens = mx.cross_relation_generators(n, r, s)
+            quot = mx.quotient(n, r, s)
+            images = {w: mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
+                      for w in quot.words}
+            killed = all(not _iota_from_images(g, images) for g in gens)
+            dim = quot.dimension()
+            rank = _image_rank_modular(images.values(), n) if killed else None
+            if rank != dim:
                 ech = Echelon()
-                for word in quot.words:
-                    img = mx.iota(mx.MixedElem({word: ONE}, normalized=True),
-                                  n)
+                for img in images.values():
                     ech.insert(qm.straighten(img, n))
-                ok = killed and ech.rank == quot.dimension()
-                cases.append(_case(ok, n=n, r=r, s=s,
-                                   generators=len(gens),
-                                   image_rank=ech.rank,
-                                   quotient_dim=quot.dimension()))
+                rank = ech.rank
+            cases.append(_case(killed and rank == dim, n=n, r=r, s=s,
+                               generators=len(gens), image_rank=rank,
+                               quotient_dim=dim))
     return cases
 
 
@@ -258,20 +325,20 @@ def suite_straightening_lemmas(ns=(2, 3), k_max=2):
     return cases
 
 
-def suite_bijection(ns=(2, 3), rs_max=2):
+def suite_bijection(ns=(2, 3), rs_max=2, r=None, s=None):
     """Rational/ordinary tableau correspondence round-trips, plus an anchor."""
     cases = []
+    grid = _grid(rs_max, r, s)
     for n in ns:
-        for r in range(rs_max + 1):
-            for s in range(rs_max + 1):
-                count, ok = 0, True
-                for _, rt in tb.enumerate_standard_rational(n, r, s):
-                    t = tb.rational_to_ordinary(rt, n, s)
-                    if not tb.is_standard(t) or \
-                            tb.ordinary_to_rational(t, n, s) != rt:
-                        ok = False
-                    count += 1
-                cases.append(_case(ok, n=n, r=r, s=s, tableaux=count))
+        for r, s in grid:
+            count, ok = 0, True
+            for _, rt in tb.enumerate_standard_rational(n, r, s):
+                t = tb.rational_to_ordinary(rt, n, s)
+                if not tb.is_standard(t) or \
+                        tb.ordinary_to_rational(t, n, s) != rt:
+                    ok = False
+                count += 1
+            cases.append(_case(ok, n=n, r=r, s=s, tableaux=count))
     # worked large-parameter anchor
     rt = tb.RationalTableau(
         tb.Tableau(tb.Partition((2, 1)), ((1, 3), (2,))),
@@ -287,81 +354,83 @@ def suite_bijection(ns=(2, 3), rs_max=2):
     return cases
 
 
-def suite_rational_basis(ns=(2, 3), rs_max=2, sample_cap=60):
+def suite_rational_basis(ns=(2, 3), rs_max=2, sample_cap=60, r=None,
+                         s=None):
     """Basis size equals the quotient dimension; expansions stay integral."""
     cases = []
+    grid = _grid(rs_max, r, s)
     for n in ns:
-        for r in range(rs_max + 1):
-            for s in range(rs_max + 1):
-                if r + s == 0:
-                    continue
-                basis = mx.rational_basis(n, r, s)
-                dim = mx.quotient(n, r, s).dimension()
-                ok = len(basis.index) == dim
-                words = mx.quotient(n, r, s).words[:sample_cap]
-                for word in words:
-                    elem = mx.MixedElem({word: ONE}, normalized=True)
-                    try:
-                        mx.rational_straighten(elem, n, r, s)
-                    except AssertionError:
-                        ok = False
-                        break
-                cases.append(_case(ok, n=n, r=r, s=s, basis_size=dim,
-                                   expansions=len(words)))
+        for r, s in grid:
+            if r + s == 0:
+                continue
+            basis = mx.rational_basis(n, r, s)
+            dim = mx.quotient(n, r, s).dimension()
+            ok = len(basis.index) == dim
+            words = mx.quotient(n, r, s).words[:sample_cap]
+            for word in words:
+                elem = mx.MixedElem({word: ONE}, normalized=True)
+                try:
+                    mx.rational_straighten(elem, n, r, s)
+                except AssertionError:
+                    ok = False
+                    break
+            cases.append(_case(ok, n=n, r=r, s=s, basis_size=dim,
+                               expansions=len(words)))
     return cases
 
 
-def suite_phi_iota(ns=(2, 3), rs_max=2):
+def suite_phi_iota(ns=(2, 3), rs_max=2, r=None, s=None):
     """phi inverts iota on every standard rational bideterminant."""
     cases = []
+    grid = _grid(rs_max, r, s)
     for n in ns:
-        for r in range(rs_max + 1):
-            for s in range(rs_max + 1):
-                if r + s == 0:
-                    continue
-                quot = mx.quotient(n, r, s)
-                count, ok = 0, True
-                for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
-                    b = mx.rational_bideterminant(rt, rt2, k, n)
-                    if mx.phi(mx.iota(b, n), n, r, s) != quot.coords(b):
-                        ok = False
-                    count += 1
-                cases.append(_case(ok, n=n, r=r, s=s, basis_elements=count))
+        for r, s in grid:
+            if r + s == 0:
+                continue
+            quot = mx.quotient(n, r, s)
+            count, ok = 0, True
+            for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
+                b = mx.rational_bideterminant(rt, rt2, k, n)
+                if mx.phi(mx.iota(b, n), n, r, s) != quot.coords(b):
+                    ok = False
+                count += 1
+            cases.append(_case(ok, n=n, r=r, s=s, basis_elements=count))
     return cases
 
 
-def suite_bicommute(ns=(2, 3), rs_max=2):
+def suite_bicommute(ns=(2, 3), rs_max=2, r=None, s=None):
     """Every quantum-group generator commutes with every walled generator."""
     cases = []
+    grid = _grid(rs_max, r, s)
     for n in ns:
-        for r in range(rs_max + 1):
-            for s in range(rs_max + 1):
-                if r + s == 0:
-                    continue
-                E, S, Shat = tn.walled_generators(n, r, s)
-                walled = ([E] if E is not None else []) + S + Shat
-                ok = True
-                for g in tn.uprime_generators(n, r + s):
-                    u = tn.ugen_mixed(n, r, s, g)
-                    if not all(u.commutes_with(w) for w in walled):
-                        ok = False
-                cases.append(_case(ok, n=n, r=r, s=s,
-                                   walled=len(walled)))
+        for r, s in grid:
+            if r + s == 0:
+                continue
+            E, S, Shat = tn.walled_generators(n, r, s)
+            walled = ([E] if E is not None else []) + S + Shat
+            ok = True
+            for g in tn.uprime_generators(n, r + s):
+                u = tn.ugen_mixed(n, r, s, g)
+                if not all(u.commutes_with(w) for w in walled):
+                    ok = False
+            cases.append(_case(ok, n=n, r=r, s=s, walled=len(walled)))
     return cases
 
 
-def suite_kappa_equivariance(ns=(2, 3), rs_max=2):
+def suite_kappa_equivariance(ns=(2, 3), rs_max=2, r=None, s=None):
     """The mixed-to-plain embedding intertwines the two actions."""
     cases = []
+    grid = _grid(rs_max, r, s)
     for n in ns:
-        for r in range(rs_max + 1):
-            for s in range(1, rs_max + 1):
-                kap = tn.kappa_mixed(n, r, s)
-                m = r + (n - 1) * s
-                ok = all(kap.then(tn.ugen_ordinary(n, m, g)) ==
-                         tn.ugen_mixed(n, r, s, g).then(kap)
-                         for g in tn.uprime_generators(n, r + s))
-                cases.append(_case(ok, n=n, r=r, s=s))
+        for r, s in grid:
+            if s == 0:
+                continue
+            kap = tn.kappa_mixed(n, r, s)
+            m = r + (n - 1) * s
+            ok = all(kap.then(tn.ugen_ordinary(n, m, g)) ==
+                     tn.ugen_mixed(n, r, s, g).then(kap)
+                     for g in tn.uprime_generators(n, r + s))
+            cases.append(_case(ok, n=n, r=r, s=s))
     return cases
 
 
@@ -444,6 +513,14 @@ def run_suite(name, n=None, r=None, s=None, m=None):
         kwargs["ns"] = (n,)
     if m is not None and "ms" in params:
         kwargs["ms"] = (m,)
+    # the suites over (n, r, s) points run only the requested r and s
+    if r is not None and "r" in params:
+        kwargs["r"] = r
+    if s is not None and "s" in params:
+        kwargs["s"] = s
+    if "rss" in params and (r is not None or s is not None):
+        kwargs["rss"] = [(a, b) for a, b in params["rss"].default
+                         if r in (None, a) and s in (None, b)]
     if name == "schur-weyl" and n is not None:
         kwargs = {"points": ((n, 1 if r is None else r,
                               1 if s is None else s),)}
@@ -573,6 +650,10 @@ def cmd_verify(args):
             raise ParamError(f"unknown suite: {name}")
     reports = [run_suite(name, n=args.n, r=args.r, s=args.s, m=args.m)
                for name in dict.fromkeys(names)]
+    for rep in reports:
+        if not rep["cases"]:
+            raise ParamError(f"no case of suite {rep['suite']} matches "
+                             "--n/--r/--s/--m")
     reports.sort(key=lambda rep: rep["suite"])
     ok = all(rep["ok"] for rep in reports)
     return (0 if ok else 1), {"ok": ok, "suites": reports}

@@ -261,16 +261,14 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def reduce(self, v, scale=None):
-        """Reduce v against the echelon.
+    def _eliminate(self, v):
+        """Clear the pivot columns from v and strip the content.
 
-        Returns (residual, scale) with the exact residual of v modulo the
-        row span equal to scale * residual; residual has Laurent entries and
-        scale is a RationalFn.  v is not modified.
+        Returns (residual, the pivot entries v was multiplied by, the
+        integer content divided out).  v is not modified.
         """
         v = {k: val for k, val in v.items() if not val.is_zero()}
-        if scale is None:
-            scale = RationalFn.one()
+        factors = []
         # rows have no entries in other pivot columns, so clearing one
         # pivot leaves the others in v nonzero and the order is immaterial
         for c in [c for c in v if c in self.pivots]:
@@ -278,16 +276,35 @@ class Echelon:
             p = row[c]
             v = accumulate({k: val * p for k, val in v.items()},
                            row.items(), -v[c])
-            scale = scale / RationalFn(p)
+            factors.append(p)
+        g = 1
         if v:
             v, g = _strip_content(v)
-            if g > 1:
-                scale = scale * g
+        return v, factors, g
+
+    def residual(self, v):
+        """The residual of reduce(v), without building its scale."""
+        return self._eliminate(v)[0]
+
+    def reduce(self, v, scale=None):
+        """Reduce v against the echelon.
+
+        Returns (residual, scale) with the exact residual of v modulo the
+        row span equal to scale * residual; residual has Laurent entries and
+        scale is a RationalFn.  v is not modified.
+        """
+        v, factors, g = self._eliminate(v)
+        if scale is None:
+            scale = RationalFn.one()
+        for p in factors:
+            scale = scale / RationalFn(p)
+        if g > 1:
+            scale = scale * g
         return v, scale
 
     def insert(self, v):
         """Add v to the span; returns True if it enlarged the span."""
-        res, _ = self.reduce(v)
+        res = self.residual(v)
         if not res:
             return False
         # pivot with the fewest terms to limit expression swell
@@ -308,8 +325,7 @@ class Echelon:
         return True
 
     def contains(self, v):
-        res, _ = self.reduce(v)
-        return not res
+        return not self.residual(v)
 
     def coords(self, v):
         """Canonical coordinates of v modulo the row span (RationalFn dict)."""

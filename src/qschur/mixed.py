@@ -265,8 +265,13 @@ def starred_bideterminant(t, t2):
     return MixedElem.from_starred(bideterminant(t, t2, qexp=-1))
 
 
+@functools.cache
 def rational_bideterminant(rt, rt2, k, n):
-    """(left|left') dfrak^(k) (right|right')* for same-shape rational pairs."""
+    """(left|left') dfrak^(k) (right|right')* for same-shape rational pairs.
+
+    The result is cached and shared (phi, c_exponent and the rational
+    basis each meet the same elements): do not modify it.
+    """
     if rt.shapes() != rt2.shapes():
         raise ValueError("rational bitableau halves must have equal shapes")
     left = MixedElem.from_plain(bideterminant(rt.left, rt2.left))

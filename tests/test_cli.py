@@ -123,6 +123,29 @@ def test_verify_with_parameter_restriction(capsys):
     assert [c["n"] for c in cases] == [3]
 
 
+def test_verify_restricts_grid_suites_to_r_and_s(capsys):
+    code, out = run(capsys, "verify", "kernel-Y", "--n", "2",
+                    "--r", "1", "--s", "1")
+    assert code == 0
+    cases = json.loads(out)["suites"][0]["cases"]
+    assert [(c["n"], c["r"], c["s"]) for c in cases] == [(2, 1, 1)]
+    code, out = run(capsys, "verify", "bijection", "phi-iota", "--n", "2",
+                    "--r", "1")
+    assert code == 0
+    for suite in json.loads(out)["suites"]:
+        points = [(c["r"], c["s"]) for c in suite["cases"]
+                  if not c.get("anchor")]
+        assert points == [(1, 0), (1, 1), (1, 2)], suite["suite"]
+    code, out = run(capsys, "verify", "walled-relations", "hecke-relations",
+                    "--n", "2", "--r", "2", "--s", "1")
+    assert code == 0
+    for suite in json.loads(out)["suites"]:
+        points = [(c["r"], c["s"]) for c in suite["cases"] if "r" in c]
+        assert points == [(2, 1)], suite["suite"]
+    # a restriction that leaves a suite no case is bad input, not a pass
+    assert main(["verify", "kappa-equivariance", "--n", "2", "--s", "0"]) == 2
+
+
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "nosuchsuite"]) == 2
 

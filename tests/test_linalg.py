@@ -154,6 +154,20 @@ def test_echelon_reduce_matches_the_all_pivots_loop(rows, vecs):
         assert (scale.num, scale.den) == (old_scale.num, old_scale.den)
 
 
+@given(st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=4),
+                max_size=5),
+       st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=5),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_echelon_residual_matches_reduce(rows, vecs):
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    for v in vecs + rows:
+        assert ech.residual(v) == ech.reduce(v)[0]
+        assert ech.contains(v) == (not ech.reduce(v)[0])
+
+
 def test_echelon_contains_span_members():
     ech = Echelon()
     rows = [{0: ONE, 1: LaurentPoly.q(1)},
