@@ -18,7 +18,7 @@ from . import mixed as mx
 from . import qmatrix as qm
 from . import tableaux as tb
 from . import tensor as tn
-from .laurent import LaurentPoly, ONE, quantum_integer
+from .laurent import LaurentPoly, ONE, neg_q_log, quantum_integer
 from .linalg import Echelon, accumulate
 
 MAX_N, MAX_RS, MAX_M = 3, 2, 4
@@ -51,16 +51,76 @@ def _check_caps(args, need):
 
 
 # -- verification suites ----------------------------------------------------
+# Each suite runs over its points in order: dicts keyed by axis name (n, and
+# r and s or m where it has them).  run_suite restricts POINTS by one rule.
+
+_N = [{"n": n} for n in (2, 3)]
+_NRS = [{"n": n, "r": r, "s": s}
+        for n in (2, 3) for r in range(3) for s in range(3)]
+
+POINTS = {
+    "pbw": _N,
+    "laplace": _N,
+    "centrality": _N,
+    "hecke-relations": [p for n in (2, 3) for p in
+                        [{"n": n, "m": m} for m in (2, 3, 4)]
+                        + [{"n": n, "r": r, "s": s}
+                           for r, s in ((1, 2), (2, 2), (2, 1))]],
+    "walled-relations": [{"n": n, "r": r, "s": s} for n in (2, 3)
+                         for r, s in ((1, 1), (2, 1), (1, 2), (2, 2))],
+    "kernel-Y": _NRS,
+    "jacobi": _N,
+    "detk": _N,
+    "straightening-lemmas": _N,
+    "bijection": _NRS,
+    "rational-basis": _NRS,
+    "phi-iota": _NRS,
+    "bicommute": _NRS,
+    "kappa-equivariance": _NRS,
+    "weight-projectors": [{"n": n, "m": m} for n in (2, 3) for m in (1, 2, 3)],
+    "schur-weyl": [{"n": n, "r": r, "s": s} for n, r, s in
+                   ((2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 1, 0),
+                    (2, 2, 0))],
+}
+
+
+def restrict(points, **given):
+    """The points with each given (not None) axis value put in place of that
+    axis wherever a point has it; points that then coincide are kept once,
+    at the position where each first appears."""
+    out = {}
+    for p in points:
+        p = {k: v if given.get(k) is None else given[k] for k, v in p.items()}
+        out.setdefault(tuple(p.items()), p)
+    return list(out.values())
+
+
+SUITES = {}
+
+
+def _suite(name, keep=lambda p: True):
+    """Register the case generator as suite name.  The suite takes points
+    (by default POINTS[name]), drops those its guard keep rejects, and
+    returns the list of cases the generator yields for the rest."""
+    def register(gen):
+        @functools.wraps(gen)
+        def suite(points=POINTS[name]):
+            return list(gen([p for p in points if keep(p)]))
+        SUITES[name] = suite
+        return suite
+    return register
+
 
 def _case(ok, **info):
     info["ok"] = bool(ok)
     return info
 
 
-def suite_pbw(ns=(2, 3)):
+@_suite("pbw")
+def suite_pbw(points):
     """Rewriting consistency: generator products associate in normal form."""
-    cases = []
-    for n in ns:
+    for p in points:
+        n = p["n"]
         letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         for rewriter, tag in ((qm.PLAIN, "plain"), (qm.STARRED, "starred")):
             ok = True
@@ -73,14 +133,14 @@ def suite_pbw(ns=(2, 3)):
                 if lhs != rhs:
                     ok = False
                     break
-            cases.append(_case(ok, n=n, rewriter=tag, triples=len(letters) ** 3))
-    return cases
+            yield _case(ok, **p, rewriter=tag, triples=len(letters) ** 3)
 
 
-def suite_laplace(ns=(2, 3)):
+@_suite("laplace")
+def suite_laplace(points):
     """Both shuffle expansions reproduce the full minor."""
-    cases = []
-    for n in ns:
+    for p in points:
+        n = p["n"]
         idx = list(range(1, n + 1))
         checked = 0
         ok = True
@@ -100,20 +160,19 @@ def suite_laplace(ns=(2, 3)):
                             if total != minor(list(rows), list(cols)):
                                 ok = False
                             checked += 1
-        cases.append(_case(ok, n=n, expansions=checked))
-    return cases
+        yield _case(ok, **p, expansions=checked)
 
 
-def suite_centrality(ns=(2, 3)):
+@_suite("centrality")
+def suite_centrality(points):
     """det_q commutes with every generator."""
-    cases = []
-    for n in ns:
+    for p in points:
+        n = p["n"]
         det = qm.quantum_det(n)
         ok = all(qm.multiply(det, qm.AlgebraElem.generator(i, j)) ==
                  qm.multiply(qm.AlgebraElem.generator(i, j), det)
                  for i in range(1, n + 1) for j in range(1, n + 1))
-        cases.append(_case(ok, n=n))
-    return cases
+        yield _case(ok, **p)
 
 
 def _braid_ok(gens, ident):
@@ -132,48 +191,42 @@ def _braid_ok(gens, ident):
     return True
 
 
-def suite_hecke_relations(ns=(2, 3), ms=(2, 3, 4),
-                          rss=((1, 2), (2, 2), (2, 1))):
-    """Quadratic, braid and distant commutation for S_i and Shat_j."""
-    cases = []
-    for n in ns:
-        for m in ms:
+@_suite("hecke-relations")
+def suite_hecke_relations(points):
+    """Quadratic, braid and distant commutation for S_i and Shat_j.
+
+    A point with m is on the ordinary space, one with r and s on the mixed.
+    """
+    for p in points:
+        n = p["n"]
+        if "m" in p:
+            m = p["m"]
             ident = tn.Endo.identity(tn.ordinary_basis(n, m))
             gens = [tn.hecke_generator(n, m, i) for i in range(1, m)]
-            cases.append(_case(_braid_ok(gens, ident), n=n, m=m,
-                               space="ordinary"))
-        for r, s in rss:
-            ident = tn.Endo.identity(tn.mixed_basis(n, r, s))
-            _, S, Shat = tn.walled_generators(n, r, s)
-            ok = _braid_ok(S, ident) and _braid_ok(Shat, ident) and \
-                all(a.commutes_with(b) for a in S for b in Shat)
-            cases.append(_case(ok, n=n, r=r, s=s, space="mixed"))
-    return cases
+            yield _case(_braid_ok(gens, ident), **p, space="ordinary")
+            continue
+        r, s = p["r"], p["s"]
+        ident = tn.Endo.identity(tn.mixed_basis(n, r, s))
+        _, S, Shat = tn.walled_generators(n, r, s)
+        ok = _braid_ok(S, ident) and _braid_ok(Shat, ident) and \
+            all(a.commutes_with(b) for a in S for b in Shat)
+        yield _case(ok, **p, space="mixed")
 
 
-def suite_walled_relations(ns=(2, 3), rss=((1, 1), (2, 1), (1, 2), (2, 2))):
+@_suite("walled-relations", keep=lambda p: min(p["r"], p["s"]) > 0)
+def suite_walled_relations(points):
     """E^2 = [n]_q E and commutation of E with distant generators."""
-    cases = []
-    for n in ns:
-        for r, s in rss:
-            E, S, Shat = tn.walled_generators(n, r, s)
-            ok = E.then(E) == E.scale(quantum_integer(n))
-            for i, g in enumerate(S, start=1):
-                if i <= r - 2 and not E.commutes_with(g):
-                    ok = False
-            for j, g in enumerate(Shat, start=1):
-                if j >= 2 and not E.commutes_with(g):
-                    ok = False
-            cases.append(_case(ok, n=n, r=r, s=s))
-    return cases
-
-
-def _grid(rs_max, r=None, s=None):
-    """The (r, s) points of a grid suite: r and s each in 0..rs_max, or
-    only the value given for it."""
-    return list(itertools.product(
-        (r,) if r is not None else range(rs_max + 1),
-        (s,) if s is not None else range(rs_max + 1)))
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        E, S, Shat = tn.walled_generators(n, r, s)
+        ok = E.then(E) == E.scale(quantum_integer(n))
+        for i, g in enumerate(S, start=1):
+            if i <= r - 2 and not E.commutes_with(g):
+                ok = False
+        for j, g in enumerate(Shat, start=1):
+            if j >= 2 and not E.commutes_with(g):
+                ok = False
+        yield _case(ok, **p)
 
 
 def _iota_from_images(a, images):
@@ -221,7 +274,8 @@ def _image_rank_modular(images, n, q0=3, p=67108859):
     return rank
 
 
-def suite_kernel_y(ns=(2, 3), rs_max=2, r=None, s=None):
+@_suite("kernel-Y", keep=lambda p: p["r"] + p["s"] > 0)
+def suite_kernel_y(points):
     """iota kills the relation span Y and is injective on the quotient.
 
     iota is computed once per quotient word.  killed: each relation
@@ -234,34 +288,29 @@ def suite_kernel_y(ns=(2, 3), rs_max=2, r=None, s=None):
     images are straightened (a unimodular change of basis, so the rank is
     the same) and ranked exactly with an Echelon.
     """
-    cases = []
-    grid = _grid(rs_max, r, s)
-    for n in ns:
-        for r, s in grid:
-            if r + s == 0:
-                continue
-            gens = mx.cross_relation_generators(n, r, s)
-            quot = mx.quotient(n, r, s)
-            images = {w: mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
-                      for w in quot.words}
-            killed = all(not _iota_from_images(g, images) for g in gens)
-            dim = quot.dimension()
-            rank = _image_rank_modular(images.values(), n) if killed else None
-            if rank != dim:
-                ech = Echelon()
-                for img in images.values():
-                    ech.insert(qm.straighten(img, n))
-                rank = ech.rank
-            cases.append(_case(killed and rank == dim, n=n, r=r, s=s,
-                               generators=len(gens), image_rank=rank,
-                               quotient_dim=dim))
-    return cases
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        gens = mx.cross_relation_generators(n, r, s)
+        quot = mx.quotient(n, r, s)
+        images = {w: mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
+                  for w in quot.words}
+        killed = all(not _iota_from_images(g, images) for g in gens)
+        dim = quot.dimension()
+        rank = _image_rank_modular(images.values(), n) if killed else None
+        if rank != dim:
+            ech = Echelon()
+            for img in images.values():
+                ech.insert(qm.straighten(img, n))
+            rank = ech.rank
+        yield _case(killed and rank == dim, **p, generators=len(gens),
+                    image_rank=rank, quotient_dim=dim)
 
 
-def suite_jacobi(ns=(2, 3)):
+@_suite("jacobi")
+def suite_jacobi(points):
     """The minor-complement identity for iota on every starred minor."""
-    cases = []
-    for n in ns:
+    for p in points:
+        n = p["n"]
         idx = list(range(1, n + 1))
         checked = 0
         ok = True
@@ -273,27 +322,31 @@ def suite_jacobi(ns=(2, 3)):
                     except AssertionError:
                         ok = False
                     checked += 1
-        cases.append(_case(ok, n=n, minors=checked))
-    return cases
+        yield _case(ok, **p, minors=checked)
 
 
-def suite_detk(ns=(2, 3), k=1):
-    """Sandwich congruences around dfrak^(k), and iota(dfrak^(k)) = det^k."""
-    cases = []
-    for n in ns:
+@_suite("detk")
+def suite_detk(points):
+    """Sandwich congruences around dfrak^(k), and iota(dfrak^(k)) = det^k,
+    at k = 1."""
+    k = 1
+    for p in points:
+        n = p["n"]
         img = mx.iota(mx.det_frak(k, n), n)
         det_pow = qm.AlgebraElem.one()
         for _ in range(k):
             det_pow = qm.multiply(det_pow, qm.quantum_det(n))
         ok = img == det_pow and mx.check_detk(n, k)
-        cases.append(_case(ok, n=n, k=k))
-    return cases
+        yield _case(ok, **p, k=k)
 
 
-def suite_straightening_lemmas(ns=(2, 3), k_max=2):
-    """Shift and vanishing congruences on exhaustive small instances."""
-    cases = []
-    for n in ns:
+@_suite("straightening-lemmas")
+def suite_straightening_lemmas(points):
+    """Shift and vanishing congruences on exhaustive small instances, with
+    minors of up to k_max = 2 rows."""
+    k_max = 2
+    for p in points:
+        n = p["n"]
         idx = list(range(1, n + 1))
         shift_ok, shift_count = True, 0
         for k in range(1, k_max + 1):
@@ -319,26 +372,24 @@ def suite_straightening_lemmas(ns=(2, 3), k_max=2):
                                         n, r_prime, s_prime, r_vec, s_vec):
                                     van_ok = False
                                 van_count += 1
-        cases.append(_case(shift_ok and van_ok, n=n,
-                           shift_instances=shift_count,
-                           vanishing_instances=van_count))
-    return cases
+        yield _case(shift_ok and van_ok, **p,
+                    shift_instances=shift_count,
+                    vanishing_instances=van_count)
 
 
-def suite_bijection(ns=(2, 3), rs_max=2, r=None, s=None):
+@_suite("bijection")
+def suite_bijection(points):
     """Rational/ordinary tableau correspondence round-trips, plus an anchor."""
-    cases = []
-    grid = _grid(rs_max, r, s)
-    for n in ns:
-        for r, s in grid:
-            count, ok = 0, True
-            for _, rt in tb.enumerate_standard_rational(n, r, s):
-                t = tb.rational_to_ordinary(rt, n, s)
-                if not tb.is_standard(t) or \
-                        tb.ordinary_to_rational(t, n, s) != rt:
-                    ok = False
-                count += 1
-            cases.append(_case(ok, n=n, r=r, s=s, tableaux=count))
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        count, ok = 0, True
+        for _, rt in tb.enumerate_standard_rational(n, r, s):
+            t = tb.rational_to_ordinary(rt, n, s)
+            if not tb.is_standard(t) or \
+                    tb.ordinary_to_rational(t, n, s) != rt:
+                ok = False
+            count += 1
+        yield _case(ok, **p, tableaux=count)
     # worked large-parameter anchor
     rt = tb.RationalTableau(
         tb.Tableau(tb.Partition((2, 1)), ((1, 3), (2,))),
@@ -348,156 +399,116 @@ def suite_bijection(ns=(2, 3), rs_max=2, r=None, s=None):
         tb.Partition((5, 5, 5, 3, 3, 2, 1)),
         ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5),
          (1, 2, 4), (1, 2, 5), (1, 3), (2,)))
-    cases.append(_case(t == expected and
-                       tb.ordinary_to_rational(t, 5, 5) == rt,
-                       n=5, r=4, s=5, anchor=True))
-    return cases
+    yield _case(t == expected and tb.ordinary_to_rational(t, 5, 5) == rt,
+                n=5, r=4, s=5, anchor=True)
 
 
-def suite_rational_basis(ns=(2, 3), rs_max=2, sample_cap=60, r=None,
-                         s=None):
-    """Basis size equals the quotient dimension; expansions stay integral."""
-    cases = []
-    grid = _grid(rs_max, r, s)
-    for n in ns:
-        for r, s in grid:
-            if r + s == 0:
-                continue
-            basis = mx.rational_basis(n, r, s)
-            dim = mx.quotient(n, r, s).dimension()
-            ok = len(basis.index) == dim
-            words = mx.quotient(n, r, s).words[:sample_cap]
-            for word in words:
-                elem = mx.MixedElem({word: ONE}, normalized=True)
-                try:
-                    mx.rational_straighten(elem, n, r, s)
-                except AssertionError:
-                    ok = False
-                    break
-            cases.append(_case(ok, n=n, r=r, s=s, basis_size=dim,
-                               expansions=len(words)))
-    return cases
+@_suite("rational-basis", keep=lambda p: p["r"] + p["s"] > 0)
+def suite_rational_basis(points):
+    """Basis size equals the quotient dimension; expansions stay integral
+    (checked on the first sample_cap = 60 quotient words)."""
+    sample_cap = 60
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        basis = mx.rational_basis(n, r, s)
+        dim = mx.quotient(n, r, s).dimension()
+        ok = len(basis.index) == dim
+        words = mx.quotient(n, r, s).words[:sample_cap]
+        for word in words:
+            elem = mx.MixedElem({word: ONE}, normalized=True)
+            try:
+                mx.rational_straighten(elem, n, r, s)
+            except AssertionError:
+                ok = False
+                break
+        yield _case(ok, **p, basis_size=dim, expansions=len(words))
 
 
-def suite_phi_iota(ns=(2, 3), rs_max=2, r=None, s=None):
+@_suite("phi-iota", keep=lambda p: p["r"] + p["s"] > 0)
+def suite_phi_iota(points):
     """phi inverts iota on every standard rational bideterminant."""
-    cases = []
-    grid = _grid(rs_max, r, s)
-    for n in ns:
-        for r, s in grid:
-            if r + s == 0:
-                continue
-            quot = mx.quotient(n, r, s)
-            count, ok = 0, True
-            for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
-                b = mx.rational_bideterminant(rt, rt2, k, n)
-                if mx.phi(mx.iota(b, n), n, r, s) != quot.coords(b):
-                    ok = False
-                count += 1
-            cases.append(_case(ok, n=n, r=r, s=s, basis_elements=count))
-    return cases
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        quot = mx.quotient(n, r, s)
+        count, ok = 0, True
+        for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
+            b = mx.rational_bideterminant(rt, rt2, k, n)
+            if mx.phi(mx.iota(b, n), n, r, s) != quot.coords(b):
+                ok = False
+            count += 1
+        yield _case(ok, **p, basis_elements=count)
 
 
-def suite_bicommute(ns=(2, 3), rs_max=2, r=None, s=None):
+@_suite("bicommute", keep=lambda p: p["r"] + p["s"] > 0)
+def suite_bicommute(points):
     """Every quantum-group generator commutes with every walled generator."""
-    cases = []
-    grid = _grid(rs_max, r, s)
-    for n in ns:
-        for r, s in grid:
-            if r + s == 0:
-                continue
-            E, S, Shat = tn.walled_generators(n, r, s)
-            walled = ([E] if E is not None else []) + S + Shat
-            ok = True
-            for g in tn.uprime_generators(n, r + s):
-                u = tn.ugen_mixed(n, r, s, g)
-                if not all(u.commutes_with(w) for w in walled):
-                    ok = False
-            cases.append(_case(ok, n=n, r=r, s=s, walled=len(walled)))
-    return cases
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        E, S, Shat = tn.walled_generators(n, r, s)
+        walled = ([E] if E is not None else []) + S + Shat
+        ok = True
+        for g in tn.uprime_generators(n, r + s):
+            u = tn.ugen_mixed(n, r, s, g)
+            if not all(u.commutes_with(w) for w in walled):
+                ok = False
+        yield _case(ok, **p, walled=len(walled))
 
 
-def suite_kappa_equivariance(ns=(2, 3), rs_max=2, r=None, s=None):
+@_suite("kappa-equivariance", keep=lambda p: p["s"] > 0)
+def suite_kappa_equivariance(points):
     """The mixed-to-plain embedding intertwines the two actions."""
-    cases = []
-    grid = _grid(rs_max, r, s)
-    for n in ns:
-        for r, s in grid:
-            if s == 0:
-                continue
-            kap = tn.kappa_mixed(n, r, s)
-            m = r + (n - 1) * s
-            ok = all(kap.then(tn.ugen_ordinary(n, m, g)) ==
-                     tn.ugen_mixed(n, r, s, g).then(kap)
-                     for g in tn.uprime_generators(n, r + s))
-            cases.append(_case(ok, n=n, r=r, s=s))
-    return cases
+    for p in points:
+        n, r, s = p["n"], p["r"], p["s"]
+        kap = tn.kappa_mixed(n, r, s)
+        m = r + (n - 1) * s
+        ok = all(kap.then(tn.ugen_ordinary(n, m, g)) ==
+                 tn.ugen_mixed(n, r, s, g).then(kap)
+                 for g in tn.uprime_generators(n, r + s))
+        yield _case(ok, **p)
 
 
-def suite_weight_projectors(ns=(2, 3), ms=(1, 2, 3)):
+@_suite("weight-projectors")
+def suite_weight_projectors(points):
     """Projector scalars and image equality with the enlarged generator set."""
-    cases = []
-    for n in ns:
-        for m in ms:
-            comps = [c for c in itertools.product(range(m + 1), repeat=n)
-                     if sum(c) == m]
-            ok = True
-            for lam in comps:
-                u = tn.weight_projector(n, m, lam)
-                for key in tn.ordinary_basis(n, m):
-                    wt = tb.weight(key, n)
-                    c = u.terms.get((key, key), LaurentPoly.zero())
-                    if wt == lam and c != ONE:
-                        ok = False
-                    if wt != lam and tn.weight_le(wt, lam) and \
-                            not c.is_zero():
-                        ok = False
-            keys = tn.ordinary_basis(n, m)
-            hecke = [tn.hecke_generator(n, m, i) for i in range(1, m)]
-            base = [tn.ugen_ordinary(n, m, g)
-                    for g in tn.uprime_generators(n, m)]
-            extra = [tn.ugen_ordinary(n, m, ("qh", tuple(
-                1 if t == j else 0 for t in range(n))))
-                for j in range(n)]
-            extra += [tn.weight_projector(n, m, lam) for lam in comps]
-            block = tn.ordinary_weight_block(n)
-            d1 = tn.certified_image_dim(base, keys, hecke, block_key=block)
-            d2 = tn.certified_image_dim(base + extra, keys, hecke,
-                                        block_key=block)
-            cases.append(_case(ok and d1 == d2, n=n, m=m,
-                               image_dim=d1, enlarged_image_dim=d2))
-    return cases
+    for p in points:
+        n, m = p["n"], p["m"]
+        comps = [c for c in itertools.product(range(m + 1), repeat=n)
+                 if sum(c) == m]
+        ok = True
+        for lam in comps:
+            u = tn.weight_projector(n, m, lam)
+            for key in tn.ordinary_basis(n, m):
+                wt = tb.weight(key, n)
+                c = u.terms.get((key, key), LaurentPoly.zero())
+                if wt == lam and c != ONE:
+                    ok = False
+                if wt != lam and tn.weight_le(wt, lam) and \
+                        not c.is_zero():
+                    ok = False
+        keys = tn.ordinary_basis(n, m)
+        hecke = [tn.hecke_generator(n, m, i) for i in range(1, m)]
+        base = [tn.ugen_ordinary(n, m, g)
+                for g in tn.uprime_generators(n, m)]
+        extra = [tn.ugen_ordinary(n, m, ("qh", tuple(
+            1 if t == j else 0 for t in range(n))))
+            for j in range(n)]
+        extra += [tn.weight_projector(n, m, lam) for lam in comps]
+        block = tn.ordinary_weight_block(n)
+        d1 = tn.certified_image_dim(base, keys, hecke, block_key=block)
+        d2 = tn.certified_image_dim(base + extra, keys, hecke,
+                                    block_key=block)
+        yield _case(ok and d1 == d2, **p,
+                    image_dim=d1, enlarged_image_dim=d2)
 
 
-def suite_schur_weyl(points=((2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1),
-                             (2, 1, 0), (2, 2, 0))):
+@_suite("schur-weyl")
+def suite_schur_weyl(points):
     """Four-way dimension agreement on the mixed space."""
-    cases = []
-    for n, r, s in points:
-        rep = tn.verify_schur_weyl(n, r, s)
+    for p in points:
+        # the report carries n, r and s itself
+        rep = tn.verify_schur_weyl(p["n"], p["r"], p["s"])
         rep.pop("elapsed_ms", None)
-        cases.append(_case(rep.pop("ok"), **rep))
-    return cases
-
-
-SUITES = {
-    "pbw": suite_pbw,
-    "laplace": suite_laplace,
-    "centrality": suite_centrality,
-    "hecke-relations": suite_hecke_relations,
-    "walled-relations": suite_walled_relations,
-    "kernel-Y": suite_kernel_y,
-    "jacobi": suite_jacobi,
-    "detk": suite_detk,
-    "straightening-lemmas": suite_straightening_lemmas,
-    "bijection": suite_bijection,
-    "rational-basis": suite_rational_basis,
-    "phi-iota": suite_phi_iota,
-    "bicommute": suite_bicommute,
-    "kappa-equivariance": suite_kappa_equivariance,
-    "weight-projectors": suite_weight_projectors,
-    "schur-weyl": suite_schur_weyl,
-}
+        yield _case(rep.pop("ok"), **rep)
 
 
 def suite_registry():
@@ -505,27 +516,11 @@ def suite_registry():
 
 
 def run_suite(name, n=None, r=None, s=None, m=None):
-    import inspect
-    func = SUITES[name]
-    params = inspect.signature(func).parameters
-    kwargs = {}
-    if n is not None and "ns" in params:
-        kwargs["ns"] = (n,)
-    if m is not None and "ms" in params:
-        kwargs["ms"] = (m,)
-    # the suites over (n, r, s) points run only the requested r and s
-    if r is not None and "r" in params:
-        kwargs["r"] = r
-    if s is not None and "s" in params:
-        kwargs["s"] = s
-    if "rss" in params and (r is not None or s is not None):
-        kwargs["rss"] = [(a, b) for a, b in params["rss"].default
-                         if r in (None, a) and s in (None, b)]
-    if name == "schur-weyl" and n is not None:
-        kwargs = {"points": ((n, 1 if r is None else r,
-                              1 if s is None else s),)}
+    """Run a suite on its declared points restricted by restrict(): a given
+    --n/--r/--s/--m replaces that axis wherever a point has it."""
+    points = restrict(POINTS[name], n=n, r=r, s=s, m=m)
     t0 = time.perf_counter()
-    cases = func(**kwargs)
+    cases = SUITES[name](points)
     return {"suite": name,
             "ok": all(c["ok"] for c in cases),
             "cases": cases,
@@ -624,11 +619,10 @@ def cmd_iota(args):
                                       key=lambda kv: repr(kv[0]))]
     report = {"n": args.n, "r": args.r, "s": args.s, "terms": terms}
     if len(expansion) == 1:
-        ((_, _), coeff), = expansion.items()
-        if coeff.is_unit():
-            sign, c = coeff.unit_decompose()
-            if sign == (-1) ** (c % 2):
-                report["neg_q_exponent"] = c
+        (coeff,) = expansion.values()
+        c = neg_q_log(coeff)
+        if c is not None:
+            report["neg_q_exponent"] = c
     return 0, report
 
 

@@ -247,6 +247,14 @@ def neg_q_power(k):
     return LaurentPoly({k: 1 if k % 2 == 0 else -1})
 
 
+def neg_q_log(a):
+    """The c with a = (-q)^c, or None if a is no power of -q."""
+    if not a.is_unit():
+        return None
+    sign, c = a.unit_decompose()
+    return c if sign == (-1) ** (c % 2) else None
+
+
 def laurent_divmod(a, b):
     """Exact-oriented division in Z[q,q^-1]: a = quo*b + rem.
 

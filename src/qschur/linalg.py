@@ -5,10 +5,10 @@ Three engines are provided:
 * :class:`Echelon` -- incremental fraction-free row reduction with
   Laurent-polynomial rows, used for ranks, nullities and canonical coset
   coordinates (no polynomial division ever happens during elimination).
-  Its coset scale is a :class:`RationalFn`; that scale, met in
-  ``mixed.MixedQuotient.coords``, ``mixed.phi`` and
-  ``mixed.DetIdealChecker``, is the fraction field's only job in the
-  package besides ``SpanSolver``.
+  Its coset scale is a :class:`RationalFn`; that scale, met only in
+  ``mixed.MixedQuotient.coords`` (the coordinates ``mixed.phi``
+  returns), is the fraction field's only job in the package besides
+  ``SpanSolver``.  Ranks and zero tests use the Laurent residual.
 * :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
   with combination tracking, for spanning sets whose transition matrix is
   unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .laurent import LaurentPoly, exact_div, laurent_divmod
+from .laurent import LaurentPoly, laurent_divmod
 
 
 def accumulate(acc, items, coeff=None):
@@ -286,7 +286,7 @@ class Echelon:
         """The residual of reduce(v), without building its scale."""
         return self._eliminate(v)[0]
 
-    def reduce(self, v, scale=None):
+    def reduce(self, v):
         """Reduce v against the echelon.
 
         Returns (residual, scale) with the exact residual of v modulo the
@@ -294,8 +294,7 @@ class Echelon:
         scale is a RationalFn.  v is not modified.
         """
         v, factors, g = self._eliminate(v)
-        if scale is None:
-            scale = RationalFn.one()
+        scale = RationalFn.one()
         for p in factors:
             scale = scale / RationalFn(p)
         if g > 1:
@@ -451,19 +450,6 @@ class SpanSolver:
         if res:
             return None
         return {k: -val for k, val in combo.items()}
-
-
-def clear_denominators(row):
-    """Scale a RationalFn dict by the product of its denominators.
-
-    Returns a dict of LaurentPoly values; zero entries are dropped.
-    """
-    den = LaurentPoly.one()
-    for v in row.values():
-        if not v.den.is_one():
-            den = den * v.den
-    return {k: v.num * (den if v.den.is_one() else exact_div(den, v.den))
-            for k, v in row.items() if not v.is_zero()}
 
 
 def mat_nullspace(rows, ncols):

@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .laurent import LaurentPoly, ONE, neg_q_power
-from .linalg import (Echelon, RationalFn, SparseSum, accumulate,
-                     clear_denominators)
+from .laurent import LaurentPoly, ONE, neg_q_log, neg_q_power
+from .linalg import Echelon, SparseSum, accumulate
 from .qmatrix import (AlgebraElem, PLAIN, STARRED, bideterminant,
                       monomial_basis, multiply, quantum_det,
                       quantum_minor_right, straighten)
@@ -170,7 +169,7 @@ class MixedQuotient:
 
     The relation span decomposes along the content-difference grading, so
     it is echelonized blockwise; coordinates of a coset are the canonical
-    residual of any representative.
+    residual of any representative; rank and zero tests use residual().
     """
 
     def __init__(self, n, r, s):
@@ -188,19 +187,31 @@ class MixedQuotient:
     def dimension(self):
         return len(self.words) - sum(e.rank for e in self.blocks.values())
 
-    def coords(self, a):
-        """Canonical coset coordinates: dict word -> RationalFn."""
+    def _reduce(self, a, method):
+        """method(echelon, part) over the grade parts of a, concatenated."""
         parts = {}
         for w, c in a.terms.items():
             parts.setdefault(_grade(w, self.n), {})[w] = c
         out = {}
         for grade, vec in parts.items():
             # a grade without relations reduces against an empty echelon
-            out.update((self.blocks.get(grade) or Echelon()).coords(vec))
+            out.update(method(self.blocks.get(grade) or Echelon(), vec))
         return out
 
+    def coords(self, a):
+        """Canonical coset coordinates: dict word -> RationalFn."""
+        return self._reduce(a, Echelon.coords)
+
+    def residual(self, a):
+        """The per-grade Echelon residuals of a, concatenated (Laurent).
+
+        On each grade it is a nonzero scalar times coords(a), so ranks of
+        grade-homogeneous rows, and membership in their (graded) span,
+        agree with those of the coordinates."""
+        return self._reduce(a, Echelon.residual)
+
     def is_coset_zero(self, a):
-        return not self.coords(a)
+        return not self.residual(a)
 
 
 @functools.cache
@@ -360,7 +371,7 @@ class _RationalBasis:
     """The standard rational bideterminants, checked independent mod Y.
 
     An independent check of the basis theorem that does not use iota: the
-    coset coordinates of the bideterminants, cleared of denominators, have
+    quotient residuals of the bideterminants (each grade-homogeneous) have
     full fraction-free Echelon rank.  index lists the (k, rt, rt2).
     """
 
@@ -369,8 +380,8 @@ class _RationalBasis:
         self.index = []
         ech = Echelon()
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
-            vec = quot.coords(rational_bideterminant(rt, rt2, k, n))
-            if not ech.insert(clear_denominators(vec)):
+            res = quot.residual(rational_bideterminant(rt, rt2, k, n))
+            if not ech.insert(res):
                 raise AssertionError(
                     "standard rational bideterminants must be independent")
             self.index.append((k, rt, rt2))
@@ -399,11 +410,10 @@ def c_exponent(rt, rt2, k, n, r, s):
     if t != rational_to_ordinary(rt, n, s) or \
             t2 != rational_to_ordinary(rt2, n, s):
         raise AssertionError("iota image tableaux do not match")
-    if not coeff.is_unit():
-        raise AssertionError(f"iota image coefficient not a unit: {coeff!r}")
-    sign, c = coeff.unit_decompose()
-    if sign != (-1) ** (c % 2):
-        raise AssertionError("iota image coefficient is not a power of -q")
+    c = neg_q_log(coeff)
+    if c is None:
+        raise AssertionError(
+            f"iota image coefficient is not a power of -q: {coeff!r}")
     return c
 
 
@@ -433,19 +443,18 @@ def _to_rational(expansion, n, r, s):
 def phi(a, n, r, s):
     """The one-sided inverse of iota, as canonical coset coordinates.
 
-    Straightens a homogeneous element of degree r+(n-1)s and sends each
-    term that _to_rational keeps to its rational bideterminant's coset.
+    Straightens a homogeneous element of degree r+(n-1)s, sums the
+    rational bideterminants of the terms that _to_rational keeps into one
+    Laurent representative and returns the coordinates of its coset.
     """
     if not a.is_zero() and a.degree() != r + (n - 1) * s:
         raise ValueError("degree must be r + (n-1)s")
-    quot = quotient(n, r, s)
-    out = {}
+    rep = {}
     terms = _to_rational(straighten(a, n), n, r, s)
     for (k, rt, rt2), coeff in terms.items():
-        # coset coordinates are RationalFn, which a LaurentPoly cannot scale
-        accumulate(out, quot.coords(rational_bideterminant(
-            rt, rt2, k, n)).items(), RationalFn(coeff))
-    return out
+        accumulate(rep, rational_bideterminant(rt, rt2, k, n).terms.items(),
+                   coeff)
+    return quotient(n, r, s).coords(MixedElem(rep, normalized=True))
 
 
 def rational_straighten(a, n, r, s):
@@ -479,12 +488,11 @@ class DetIdealChecker:
             for sw in monomial_basis(n, s - 1):
                 h3 = MixedElem({((), sw): ONE}, normalized=True)
                 g = mixed_multiply(mixed_multiply(h1, core), h3)
-                row = clear_denominators(self.quot.coords(g))
-                if row:
-                    self.ech.insert(row)
+                # g is grade-homogeneous: see MixedQuotient.residual
+                self.ech.insert(self.quot.residual(g))
 
     def congruent_zero(self, a):
-        return self.ech.contains(clear_denominators(self.quot.coords(a)))
+        return self.ech.contains(self.quot.residual(a))
 
 
 @functools.cache

@@ -64,17 +64,17 @@ def test_criterion_02_ordinary_dimensions():
 
 
 def test_criterion_03_iota_kernel():
-    ok = _all_ok(cli.suite_kernel_y(ns=(2, 3), rs_max=2))
+    ok = _all_ok(cli.suite_kernel_y())
     _report(3, "iota kills the relation span and nothing else", ok)
 
 
 def test_criterion_04_jacobi():
-    ok = _all_ok(cli.suite_jacobi(ns=(2, 3, 4)))
+    ok = _all_ok(cli.suite_jacobi([{"n": n} for n in (2, 3, 4)]))
     _report(4, "complementary-minor identity for every starred minor", ok)
 
 
 def test_criterion_05_basis_image_and_inverse():
-    ok = _all_ok(cli.suite_phi_iota(ns=(2, 3), rs_max=2))
+    ok = _all_ok(cli.suite_phi_iota())
     for n in (2, 3):
         for r in range(3):
             for s in range(3):
@@ -97,32 +97,32 @@ def test_criterion_06_worked_bijection():
     ok = ok and t.shape.parts == (5, 5, 5, 3, 3, 2, 1)
     ok = ok and tb.content(t, 5) == (6, 6, 4, 4, 4)
     ok = ok and tb.ordinary_to_rational(t, 5, 5) == rt
-    ok = ok and _all_ok(cli.suite_bijection(ns=(2, 3), rs_max=2))
+    ok = ok and _all_ok(cli.suite_bijection())
     _report(6, "rational/ordinary tableau correspondence round-trips", ok)
 
 
 def test_criterion_07_relation_suites():
-    ok = _all_ok(cli.suite_hecke_relations(ns=(2, 3), ms=(2, 3, 4)))
+    ok = _all_ok(cli.suite_hecke_relations())
     ok = ok and _all_ok(cli.suite_walled_relations())
     E, _, _ = tn.walled_generators(4, 1, 1)
     ok = ok and E.then(E) == E.scale(quantum_integer(4))
-    ok = ok and _all_ok(cli.suite_centrality(ns=(2, 3)))
-    ok = ok and _all_ok(cli.suite_laplace(ns=(2, 3, 4)))
-    ok = ok and _all_ok(cli.suite_detk(ns=(2, 3), k=1))
-    ok = ok and _all_ok(cli.suite_straightening_lemmas(ns=(2, 3), k_max=2))
+    ok = ok and _all_ok(cli.suite_centrality())
+    ok = ok and _all_ok(cli.suite_laplace([{"n": n} for n in (2, 3, 4)]))
+    ok = ok and _all_ok(cli.suite_detk())
+    ok = ok and _all_ok(cli.suite_straightening_lemmas())
     _report(7, "Hecke, walled, centrality, Laplace, sandwich and "
                "straightening-lemma relation suites", ok)
 
 
 def test_criterion_08_bicommutation_and_kappa():
-    ok = _all_ok(cli.suite_bicommute(ns=(2, 3), rs_max=2))
-    ok = ok and _all_ok(cli.suite_kappa_equivariance(ns=(2, 3), rs_max=2))
+    ok = _all_ok(cli.suite_bicommute())
+    ok = ok and _all_ok(cli.suite_kappa_equivariance())
     _report(8, "walled and quantum-group actions commute; kappa is "
                "equivariant", ok)
 
 
 def test_criterion_09_unit_denominators():
-    ok = _all_ok(cli.suite_rational_basis(ns=(2, 3), rs_max=2))
+    ok = _all_ok(cli.suite_rational_basis())
     for n, r, s in ((2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1)):
         for word in mx.quotient(n, r, s).words:
             elem = mx.MixedElem({word: ONE}, normalized=True)
@@ -138,5 +138,5 @@ def test_criterion_09_unit_denominators():
 
 
 def test_criterion_10_weight_projectors():
-    ok = _all_ok(cli.suite_weight_projectors(ns=(2, 3), ms=(1, 2, 3)))
+    ok = _all_ok(cli.suite_weight_projectors())
     _report(10, "weight projectors act as claimed and lie in the image", ok)

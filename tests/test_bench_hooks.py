@@ -37,3 +37,25 @@ def test_traced_tables_and_registries_exist():
         assert isinstance(table, dict)
     assert tuple(cli.SUITES) == layers.SUITES
     assert callable(cli._case)
+
+
+def test_run_suite_looks_up_suites_and_case_at_call_time(monkeypatch):
+    # perfbench's verify-all workload swaps cli.SUITES entries and cli._case
+    # for timed wrappers; bound early, its request metrics would read 0
+    from qschur import cli
+    calls = {"suite": 0, "case": 0}
+    suite, make_case = cli.SUITES["centrality"], cli._case
+
+    def counted_suite(*args, **kwargs):
+        calls["suite"] += 1
+        return suite(*args, **kwargs)
+
+    def counted_case(ok, **info):
+        calls["case"] += 1
+        return make_case(ok, **info)
+
+    monkeypatch.setitem(cli.SUITES, "centrality", counted_suite)
+    monkeypatch.setattr(cli, "_case", counted_case)
+    report = cli.run_suite("centrality")
+    assert calls["suite"] == 1
+    assert calls["case"] == len(report["cases"]) == 2

@@ -146,6 +146,58 @@ def test_verify_restricts_grid_suites_to_r_and_s(capsys):
     assert main(["verify", "kappa-equivariance", "--n", "2", "--s", "0"]) == 2
 
 
+# the axes of each suite's points; a flag for another axis is ignored
+SUITE_AXES = {"pbw": "n", "laplace": "n", "centrality": "n",
+              "hecke-relations": "nmrs", "walled-relations": "nrs",
+              "kernel-Y": "nrs", "jacobi": "n", "detk": "n",
+              "straightening-lemmas": "n", "bijection": "nrs",
+              "rational-basis": "nrs", "phi-iota": "nrs", "bicommute": "nrs",
+              "kappa-equivariance": "nrs", "weight-projectors": "nm",
+              "schur-weyl": "nrs"}
+CHEAP = {"n": 2, "r": 1, "s": 1, "m": 2}
+
+
+def test_suite_axes_are_the_declared_ones():
+    from qschur.cli import POINTS
+    assert list(SUITE_AXES) == EXPECTED_SUITES
+    for name, axes in SUITE_AXES.items():
+        assert {k for p in POINTS[name] for k in p} == set(axes), name
+
+
+@pytest.mark.parametrize("name, axis, value", [
+    (name, axis, CHEAP[axis]) for name, axes in SUITE_AXES.items()
+    for axis in axes] + [("schur-weyl", "s", 0)])
+def test_every_axis_restricts_every_suite(name, axis, value, capsys):
+    code, out = run(capsys, "verify", name, f"--{axis}", str(value))
+    assert code == 0
+    cases = [c for c in json.loads(out)["suites"][0]["cases"]
+             if not c.get("anchor")]
+    assert any(axis in c for c in cases)
+    assert all(c[axis] == value for c in cases if axis in c)
+
+
+def test_restricted_points_keep_their_first_position(capsys):
+    def points(*argv):
+        code, out = run(capsys, "verify", "schur-weyl", *argv)
+        assert code == 0
+        return [(c["n"], c["r"], c["s"])
+                for c in json.loads(out)["suites"][0]["cases"]]
+    assert points("--r", "1") == [(2, 1, 1), (2, 1, 2), (3, 1, 1), (2, 1, 0)]
+    assert points("--s", "0") == [(2, 1, 0), (2, 2, 0), (3, 1, 0)]
+    assert points("--n", "2") == [(2, 1, 1), (2, 2, 1), (2, 1, 2),
+                                  (2, 1, 0), (2, 2, 0)]
+
+
+def test_a_restriction_may_leave_the_declared_values(capsys):
+    code, out = run(capsys, "verify", "walled-relations", "--n", "2",
+                    "--r", "3", "--unsafe-large")
+    assert code == 0
+    cases = json.loads(out)["suites"][0]["cases"]
+    assert [(c["n"], c["r"], c["s"]) for c in cases] == [(2, 3, 1), (2, 3, 2)]
+    # the walled relations need r, s >= 1, as kappa needs s >= 1
+    assert main(["verify", "walled-relations", "--r", "0"]) == 2
+
+
 def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "nosuchsuite"]) == 2
 

@@ -28,7 +28,7 @@ def exact_route(n, r, s):
 
 
 def kernel_y_case(n, r, s):
-    cases = cli.suite_kernel_y(ns=(n,), r=r, s=s)
+    cases = cli.suite_kernel_y([{"n": n, "r": r, "s": s}])
     assert len(cases) == 1
     return cases[0]
 

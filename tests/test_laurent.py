@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur.laurent import (LaurentPoly, ONE, ZERO, divides, exact_div,
-                            laurent_divmod, neg_q_power, quantum_binomial,
+                            laurent_divmod, neg_q_log, neg_q_power,
+                            quantum_binomial,
                             quantum_factorial, quantum_integer,
                             quantum_integer_signed)
 
@@ -136,3 +137,11 @@ def test_eval_mod_matches_subs(a, q0):
 def test_json_roundtrip():
     a = LaurentPoly({-3: 5, 0: -1, 7: 2})
     assert LaurentPoly.from_json(a.to_json()) == a
+
+
+def test_neg_q_log_decodes_powers_of_minus_q_only():
+    for c in range(-3, 4):
+        assert neg_q_log(neg_q_power(c)) == c
+        assert neg_q_log(-neg_q_power(c)) is None
+    for a in (LaurentPoly.zero(), LaurentPoly.q(1, 2), LaurentPoly.q(2) + ONE):
+        assert neg_q_log(a) is None

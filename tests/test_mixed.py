@@ -7,19 +7,20 @@ import random
 import pytest
 
 from qschur import mixed
-from qschur.laurent import LaurentPoly, ONE, neg_q_power
+from qschur.laurent import LaurentPoly, ONE, exact_div, neg_q_power
 from qschur.linalg import Echelon, SpanSolver
 from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           check_straightening_shift,
                           check_straightening_vanishing,
-                          cross_relation_generators, det_frak, iota,
+                          cross_relation_generators, det_frak,
+                          det_ideal_checker, iota,
                           iota_starred_letter, jacobi_check, mixed_multiply,
                           phi, quotient, rational_bideterminant,
                           rational_basis, rational_straighten,
                           standard_rational_bitableaux,
                           violating_instance_data)
-from qschur.qmatrix import (AlgebraElem, bideterminant, multiply,
-                            quantum_det, straighten)
+from qschur.qmatrix import (AlgebraElem, bideterminant, monomial_basis,
+                            multiply, quantum_det, straighten)
 from qschur.tableaux import Partition, Tableau, enumerate_standard_rational
 
 
@@ -223,6 +224,67 @@ def test_phi_kills_nothing_extra():
     for word in quot.words:
         total = total + MixedElem({word: ONE}, normalized=True)
     assert phi(iota(total, n), n, r, s) == quot.coords(total)
+
+
+def clear_denominators(row):
+    """A RationalFn dict times the product of its denominators (Laurent)."""
+    den = ONE
+    for v in row.values():
+        den = den * v.den
+    return {k: v.num * exact_div(den, v.den) for k, v in row.items()}
+
+
+def cleared_congruent_zero(n, r, s):
+    """DetIdealChecker.congruent_zero by the cleared-coordinates route: the
+    quotient coordinates of the sandwiched dfrak^(1), cleared of
+    denominators, ranked by an Echelon."""
+    quot = quotient(n, r, s)
+    ech = Echelon()
+    for pw in monomial_basis(n, r - 1):
+        for sw in monomial_basis(n, s - 1):
+            g = mixed_multiply(mixed_multiply(
+                MixedElem({(pw, ()): ONE}, normalized=True), det_frak(1, n)),
+                MixedElem({((), sw): ONE}, normalized=True))
+            ech.insert(clear_denominators(quot.coords(g)))
+    return lambda a: ech.contains(clear_denominators(quot.coords(a)))
+
+
+@pytest.mark.parametrize("n, r, s", [(2, 1, 1), (3, 1, 1)])
+def test_congruent_zero_matches_the_cleared_coordinates_route(n, r, s):
+    checker = det_ideal_checker(n, r, s)
+    oracle = cleared_congruent_zero(n, r, s)
+    words = quotient(n, r, s).words
+    gens = cross_relation_generators(n, r, s)
+    rng = random.Random(f"congruent{n}{r}{s}")
+
+    def laurent():
+        return LaurentPoly({rng.randint(-2, 2): rng.choice((-2, -1, 1, 3))})
+
+    verdicts = []
+    for _ in range(12):
+        # a multiple of dfrak^(1) plus relations lies in the ideal ...
+        zero = det_frak(1, n).scale(laurent())
+        for g in rng.sample(gens, 3):
+            zero = zero + g.scale(laurent())
+        # ... and one more word, spread over several grades, mostly not
+        other = MixedElem({w: laurent()
+                           for w in rng.sample(words, rng.randint(1, 4))})
+        for a in (zero, zero + other, other):
+            verdicts.append(checker.congruent_zero(a))
+            assert verdicts[-1] == oracle(a)
+    assert True in verdicts and False in verdicts
+
+
+def test_quotient_residual_vanishes_with_the_coordinates():
+    quot = quotient(2, 2, 1)
+    rng = random.Random("residual")
+    for g in cross_relation_generators(2, 2, 1)[:10]:
+        assert quot.residual(g) == {} == quot.coords(g)
+    for _ in range(10):
+        a = MixedElem({w: LaurentPoly.q(rng.randint(-2, 2))
+                       for w in rng.sample(quot.words, 3)})
+        assert bool(quot.residual(a)) == bool(quot.coords(a))
+        assert set(quot.residual(a)) == set(quot.coords(a))
 
 
 def test_straightening_shift_instances():

@@ -1,6 +1,8 @@
 """Tensor-space representations: anchors, relations, dualities."""
 
+import functools
 import itertools
+import operator
 import random
 
 import numpy
@@ -8,7 +10,7 @@ import pytest
 
 from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_factorial,
                             quantum_integer)
-from qschur.linalg import accumulate, clear_denominators, mat_nullspace
+from qschur.linalg import accumulate, mat_nullspace
 from qschur.tableaux import all_perms, weight
 from qschur import tensor
 from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
@@ -207,7 +209,9 @@ def test_commutant_basis_members_commute():
     basis = mat_nullspace(rows, len(unknowns))
     assert len(basis) == commutant_dim([E], keys) == 10
     for vec in basis:
-        b = Endo(clear_denominators(dict(zip(unknowns, vec))))
+        den = functools.reduce(operator.mul, (v.den for v in vec), ONE)
+        b = Endo({u: (v * den).num for u, v in zip(unknowns, vec)
+                  if not v.is_zero()})
         assert b.commutes_with(E)
 
 
