@@ -3,6 +3,8 @@
 Subcommands: tableaux | basis | straighten | iota | dims | verify.
 Exit codes: 0 success, 1 failed verification, 2 bad parameters or input.
 Reports are JSON (default) or CSV, written to stdout or --output.
+The suites use the library's constructions only: kernel-Y takes iota from
+mixed.iota and its rank mod p from tensor.rank_mod.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import qmatrix as qm
 from . import tableaux as tb
 from . import tensor as tn
 from .laurent import LaurentPoly, ONE, neg_q_log, quantum_integer
-from .linalg import Echelon, accumulate
+from .linalg import Echelon
 
 MAX_N, MAX_RS, MAX_M = 3, 2, 4
 
@@ -229,28 +231,14 @@ def suite_walled_relations(points):
         yield _case(ok, **p)
 
 
-def _iota_from_images(a, images):
-    """iota(a) as a term dict: sum_w a[w] images[w], images[w] = iota(w).
-
-    iota is defined term by term as exactly this sum, so the result is
-    iota(a) itself, computed from images reused across elements.
-    """
-    out = {}
-    for w, c in a.terms.items():
-        accumulate(out, images[w].terms.items(), c)
-    return out
-
-
-def _image_rank_modular(images, n, q0=3, p=67108859):
-    """Rank of the images at q = q0 mod p, in normal-word coordinates.
+def _image_rank_modular(images, n):
+    """Rank of the images at q = tn.Q0 mod tn.P, in normal-word coordinates.
 
     Specializing q can only drop the rank, so this is a lower bound for
     the rank over Q(q).  iota preserves row and column content, so each
     image lies in one content block; blocks have disjoint columns and
-    their ranks add up.
+    their ranks (tn.rank_mod) add up.
     """
-    import numpy
-    tn._check_modulus(q0, p)
     blocks = {}
     for img in images:
         contents = {qm.word_content(w, n) for w in img.terms}
@@ -259,18 +247,11 @@ def _image_rank_modular(images, n, q0=3, p=67108859):
         if contents:
             blocks.setdefault(contents.pop(), []).append(img)
     rank = 0
-    for rows in blocks.values():
+    for imgs in blocks.values():
         cols = {}
-        for img in rows:
-            for w in img.terms:
-                cols.setdefault(w, len(cols))
-        mat = numpy.zeros((len(rows), len(cols)), dtype=numpy.int64)
-        for i, img in enumerate(rows):
-            for w, c in img.terms.items():
-                mat[i, cols[w]] = c.eval_mod(q0, p)
-        ech = tn._ModEchelon(p, len(cols))
-        ech.insert(mat)
-        rank += ech.rank
+        rows = [[(cols.setdefault(w, len(cols)), c.eval_mod(tn.Q0, tn.P))
+                 for w, c in img.terms.items()] for img in imgs]
+        rank += tn.rank_mod(rows, len(cols), tn.P)
     return rank
 
 
@@ -278,10 +259,10 @@ def _image_rank_modular(images, n, q0=3, p=67108859):
 def suite_kernel_y(points):
     """iota kills the relation span Y and is injective on the quotient.
 
-    iota is computed once per quotient word.  killed: each relation
-    generator g has sum_w g[w] iota(w) = 0, which is iota(g) exactly.
-    The image rank then sits in the chain rank_p <= image rank <= quotient
-    dim: the lower step is the rank mod p of the images at q = 3
+    killed: mx.iota(g) = 0 for each relation generator g; iota reuses the
+    cached image of each starred word.  The image rank of the quotient
+    words then sits in the chain rank_p <= image rank <= quotient dim: the
+    lower step is the rank mod p of the images at q = tn.Q0
     (_image_rank_modular), and the upper step holds because iota factors
     through the exact quotient.  When rank_p meets the quotient dim, that
     is the image rank.  Otherwise, or if a generator is not killed, the
@@ -292,14 +273,14 @@ def suite_kernel_y(points):
         n, r, s = p["n"], p["r"], p["s"]
         gens = mx.cross_relation_generators(n, r, s)
         quot = mx.quotient(n, r, s)
-        images = {w: mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
-                  for w in quot.words}
-        killed = all(not _iota_from_images(g, images) for g in gens)
+        images = [mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
+                  for w in quot.words]
+        killed = all(mx.iota(g, n).is_zero() for g in gens)
         dim = quot.dimension()
-        rank = _image_rank_modular(images.values(), n) if killed else None
+        rank = _image_rank_modular(images, n) if killed else None
         if rank != dim:
             ech = Echelon()
-            for img in images.values():
+            for img in images:
                 ech.insert(qm.straighten(img, n))
             rank = ech.rank
         yield _case(killed and rank == dim, **p, generators=len(gens),
@@ -545,7 +526,7 @@ def _read_element(args, mixed=False):
                 and all(isinstance(item.get(h), list) for h in halves)):
             raise ParamError("every term needs the keys "
                              + ", ".join(halves + ("coeff",)))
-        if not all(isinstance(c, (int, str)) for c in item["coeff"].values()):
+        if not all(type(c) in (int, str) for c in item["coeff"].values()):
             raise ParamError("coefficients must be integers")
         for letter in itertools.chain(*(item[h] for h in halves)):
             if not (isinstance(letter, list) and len(letter) == 2 and
@@ -590,34 +571,37 @@ def cmd_basis(args):
                          for i, (k, rt, rt2) in enumerate(basis)]}
 
 
+def _terms(expansion):
+    """Report terms in repr(key) order; a key is (t, t2) or (k, rt, rt2)."""
+    terms = []
+    for key, c in sorted(expansion.items(), key=lambda kv: repr(kv[0])):
+        *k, left, right = key
+        term = {"left": left.to_json(), "right": right.to_json(),
+                "coeff": c.to_json()}
+        if k:
+            term["k"] = k[0]
+        terms.append(term)
+    return terms
+
+
 def cmd_straighten(args):
     if args.kind == "ord":
         _check_caps(args, ("n",))
         expansion = qm.straighten(_read_element(args), args.n)
-        terms = [{"left": t.to_json(), "right": t2.to_json(),
-                  "coeff": c.to_json()}
-                 for (t, t2), c in sorted(expansion.items(),
-                                          key=lambda kv: repr(kv[0]))]
-        return 0, {"n": args.n, "terms": terms}
+        return 0, {"n": args.n, "terms": _terms(expansion)}
     _check_caps(args, ("n", "r", "s"))
     expansion = mx.rational_straighten(_read_element(args, mixed=True),
                                        args.n, args.r, args.s)
-    terms = [{"k": k, "left": rt.to_json(), "right": rt2.to_json(),
-              "coeff": c.to_json()}
-             for (k, rt, rt2), c in sorted(expansion.items(),
-                                           key=lambda kv: repr(kv[0]))]
-    return 0, {"n": args.n, "r": args.r, "s": args.s, "terms": terms}
+    return 0, {"n": args.n, "r": args.r, "s": args.s,
+               "terms": _terms(expansion)}
 
 
 def cmd_iota(args):
     _check_caps(args, ("n", "r", "s"))
     img = mx.iota(_read_element(args, mixed=True), args.n)
     expansion = qm.straighten(img, args.n)
-    terms = [{"left": t.to_json(), "right": t2.to_json(),
-              "coeff": c.to_json()}
-             for (t, t2), c in sorted(expansion.items(),
-                                      key=lambda kv: repr(kv[0]))]
-    report = {"n": args.n, "r": args.r, "s": args.s, "terms": terms}
+    report = {"n": args.n, "r": args.r, "s": args.s,
+              "terms": _terms(expansion)}
     if len(expansion) == 1:
         (coeff,) = expansion.values()
         c = neg_q_log(coeff)
@@ -695,18 +679,11 @@ def _emit(report, args):
 
 # -- entry point ----------------------------------------------------------
 
-def _add_common(p, *, n=False, r=False, s=False, m=False, io_flags=True):
-    if n:
-        p.add_argument("--n", type=int)
-    if r:
-        p.add_argument("--r", type=int)
-    if s:
-        p.add_argument("--s", type=int)
-    if m:
-        p.add_argument("--m", type=int)
-    if io_flags:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output")
+def _add_common(p, *, m=False):
+    for name in ("n", "r", "s", "m") if m else ("n", "r", "s"):
+        p.add_argument(f"--{name}", type=int)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output")
     p.add_argument("--unsafe-large", action="store_true",
                    dest="unsafe_large")
 
@@ -721,37 +698,37 @@ def build_parser():
 
     p = sub.add_parser("tableaux", help="list standard (rational) tableaux")
     p.add_argument("--rational", action="store_true")
-    _add_common(p, n=True, r=True, s=True, m=True)
+    _add_common(p, m=True)
     p.set_defaults(func=cmd_tableaux)
 
     p = sub.add_parser("basis", help="standard (rational) bideterminant "
                                      "basis")
     p.add_argument("kind", choices=("ord", "mixed"))
-    _add_common(p, n=True, r=True, s=True, m=True)
+    _add_common(p, m=True)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("straighten", help="expand an element over the "
                                           "standard basis")
     p.add_argument("kind", choices=("ord", "mixed"))
     p.add_argument("--input", help="element JSON file ('-' for stdin)")
-    _add_common(p, n=True, r=True, s=True)
+    _add_common(p)
     p.set_defaults(func=cmd_straighten)
 
     p = sub.add_parser("iota", help="apply the embedding into the plain "
                                     "algebra")
     p.add_argument("--input", help="element JSON file ('-' for stdin)")
-    _add_common(p, n=True, r=True, s=True)
+    _add_common(p)
     p.set_defaults(func=cmd_iota)
 
     p = sub.add_parser("dims", help="four-way dimension table")
-    _add_common(p, n=True, r=True, s=True)
+    _add_common(p)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("suite", nargs="*", help="suite names, or 'all'")
     p.add_argument("--suite", action="append", dest="suite_flag",
                    default=[], help="additional suite name")
-    _add_common(p, n=True, r=True, s=True, m=True)
+    _add_common(p, m=True)
     p.set_defaults(func=cmd_verify)
 
     return parser

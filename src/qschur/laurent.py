@@ -120,7 +120,7 @@ class LaurentPoly:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
             ((e, c),) = self.terms.items()
-            return LaurentPoly({e * n: (-1) ** n if c == -1 else 1})
+            return LaurentPoly({e * n: c if n % 2 else 1})
         r = LaurentPoly.one()
         b = self
         while n:

@@ -121,33 +121,30 @@ def cross_relation_cores(n):
                  for k in range(1, n + 1)}))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            terms = {}
-            for k in range(1, n + 1):
-                key = (((k, i),), ((k, i),))
-                terms[key] = terms.get(key, LaurentPoly.zero()) \
-                    + LaurentPoly.q(2 * k - 2 * i)
-                key = (((j, k),), ((j, k),))
-                terms[key] = terms.get(key, LaurentPoly.zero()) \
-                    + LaurentPoly.from_int(-1)
-            cores.append(MixedElem(terms))
+            cores.append(MixedElem(accumulate({}, (
+                term for k in range(1, n + 1) for term in (
+                    ((((k, i),), ((k, i),)), LaurentPoly.q(2 * k - 2 * i)),
+                    ((((j, k),), ((j, k),)), LaurentPoly.from_int(-1)))))))
     return [c for c in cores if not c.is_zero()]
+
+
+def _sandwiches(cores, n, r, s):
+    """h1 * core * h3 over the plain words h1 of degree r-1, the starred
+    words h3 of degree s-1 and the cores, nested in that order."""
+    for pw in monomial_basis(n, r - 1):
+        h1 = MixedElem({(pw, ()): ONE}, normalized=True)
+        for sw in monomial_basis(n, s - 1):
+            h3 = MixedElem({((), sw): ONE}, normalized=True)
+            for core in cores:
+                yield mixed_multiply(mixed_multiply(h1, core), h3)
 
 
 def cross_relation_generators(n, r, s):
     """All sandwiched relation elements h1 * core * h3 of bidegree (r, s)."""
     if r < 1 or s < 1:
         return []
-    cores = cross_relation_cores(n)
-    out = []
-    for pw in monomial_basis(n, r - 1):
-        h1 = MixedElem({(pw, ()): ONE}, normalized=True)
-        for sw in monomial_basis(n, s - 1):
-            h3 = MixedElem({((), sw): ONE}, normalized=True)
-            for core in cores:
-                g = mixed_multiply(mixed_multiply(h1, core), h3)
-                if not g.is_zero():
-                    out.append(g)
-    return out
+    return [g for g in _sandwiches(cross_relation_cores(n), n, r, s)
+            if not g.is_zero()]
 
 
 def _grade(word, n):
@@ -300,20 +297,26 @@ def iota_starred_letter(i, j, n):
     return quantum_minor_right(rows, cols).scale(neg_q_power(j - i))
 
 
+@functools.cache
+def iota_starred_word(sw, n):
+    """iota of a starred word: the product of its letters' images.
+
+    The result is cached and shared: do not modify it.
+    """
+    img = AlgebraElem.one()
+    for i, j in sw:
+        img = multiply(img, iota_starred_letter(i, j, n))
+    return img
+
+
 def iota(a, n):
-    """Substitute each starred letter by its signed complementary minor."""
-    out = AlgebraElem.zero()
-    cache = {}
+    """Substitute each starred letter by its signed complementary minor:
+    sum c (pw * iota_starred_word(sw)) over the terms, normalized once."""
+    out = {}
     for (pw, sw), c in a.terms.items():
-        img = cache.get(sw)
-        if img is None:
-            img = AlgebraElem.one()
-            for i, j in sw:
-                img = multiply(img, iota_starred_letter(i, j, n))
-            cache[sw] = img
-        out = out + multiply(AlgebraElem({pw: ONE}, normalized=True),
-                             img).scale(c)
-    return out
+        accumulate(out, ((pw + w, v) for w, v in
+                         iota_starred_word(sw, n).terms.items()), c)
+    return AlgebraElem(out)
 
 
 def jacobi_check(rows, cols, n):
@@ -324,9 +327,7 @@ def jacobi_check(rows, cols, n):
     (-q)^(sum(cols)-sum(rows)) det^(l-1) (rows'|cols').
     """
     rows, cols = list(rows), list(cols)
-    if sorted(rows) != rows or sorted(cols) != cols:
-        raise ValueError("indices must be strictly increasing")
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
+    if any(a >= b for seq in (rows, cols) for a, b in zip(seq, seq[1:])):
         raise ValueError("indices must be strictly increasing")
     l = len(rows)
     exp = sum(cols) - sum(rows)
@@ -352,19 +353,13 @@ def jacobi_check(rows, cols, n):
 # -- the rational straightening basis ------------------------------------
 
 def standard_rational_bitableaux(n, r, s):
-    """(k, rt, rt2) for all same-shape standard rational pairs."""
+    """(k, rt, rt2) for all same-shape standard rational pairs, k
+    descending (the order of enumerate_standard_rational)."""
     by_shape = {}
     for k, rt in enumerate_standard_rational(n, r, s):
         by_shape.setdefault((k, rt.shapes()), []).append(rt)
-    out = []
-    for k in range(min(r, s), -1, -1):
-        for (kk, shapes), tabs in by_shape.items():
-            if kk != k:
-                continue
-            for rt in tabs:
-                for rt2 in tabs:
-                    out.append((k, rt, rt2))
-    return out
+    return [(k, rt, rt2) for (k, _), tabs in by_shape.items()
+            for rt in tabs for rt2 in tabs]
 
 
 class _RationalBasis:
@@ -482,14 +477,9 @@ class DetIdealChecker:
     def __init__(self, n, r, s):
         self.quot = quotient(n, r, s)
         self.ech = Echelon()
-        core = det_frak(1, n)
-        for pw in monomial_basis(n, r - 1):
-            h1 = MixedElem({(pw, ()): ONE}, normalized=True)
-            for sw in monomial_basis(n, s - 1):
-                h3 = MixedElem({((), sw): ONE}, normalized=True)
-                g = mixed_multiply(mixed_multiply(h1, core), h3)
-                # g is grade-homogeneous: see MixedQuotient.residual
-                self.ech.insert(self.quot.residual(g))
+        for g in _sandwiches([det_frak(1, n)], n, r, s):
+            # g is grade-homogeneous: see MixedQuotient.residual
+            self.ech.insert(self.quot.residual(g))
 
     def congruent_zero(self, a):
         return self.ech.contains(self.quot.residual(a))

@@ -327,9 +327,7 @@ class Perm:
 
     def length(self):
         """Coxeter length = inversion count."""
-        im = self.images
-        return sum(1 for a in range(len(im)) for b in range(a + 1, len(im))
-                   if im[a] > im[b])
+        return inversions(self.images)
 
     def reduced_word(self):
         """A fixed reduced word: repeatedly apply the smallest descent."""

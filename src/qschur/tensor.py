@@ -14,6 +14,10 @@ not depend on the side convention.
 Quantum-group actions are built recursively from the coproduct on the
 closed operator families K^a e^(k) and f^(k) K^a, with the dual-factor
 action derived mechanically from the antipode.
+
+The modular bounds specialize q = Q0 mod P by default, and each rank mod
+p of sparse rows (the commutant equations here, kernel-Y's iota images in
+the CLI) is one call to rank_mod.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import time
 
 from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
 from .linalg import Echelon, SparseSum, UnitSolver, accumulate
-from .tableaux import multi_indices, weight
+from .tableaux import inversions, multi_indices, weight
+
+# the default specialization q = Q0 mod P of the modular bounds
+Q0, P = 3, 67108859
 
 
 class Endo(SparseSum):
@@ -91,14 +98,8 @@ def _swap_action(entries, keys, pos, dual):
         if a == b:
             entries[(key, key)] = LaurentPoly.q(-1)
             continue
-        swapped = key[:pos] + (b, a) + key[pos + 2:]
-        increasing = a < b
-        if dual:
-            increasing = not increasing
-        if increasing:
-            entries[(key, swapped)] = ONE
-        else:
-            entries[(key, swapped)] = ONE
+        entries[(key, key[:pos] + (b, a) + key[pos + 2:])] = ONE
+        if (a < b) == dual:   # a > b on a plain pair, a < b on a dual
             entries[(key, key)] = LaurentPoly.q(-1) - LaurentPoly.q(1)
     return entries
 
@@ -142,13 +143,17 @@ def walled_generators(n, r, s):
 
 # -- quantum-group generators ------------------------------------------------
 
-def _e_single(n, kind, i, a, k):
-    """K_i^a e_i^(k) on one factor ('v' plain, 'd' dual), as an entry dict."""
-    if k == 0:
-        sign = 1 if kind == "v" else -1
-        return {(j, j): LaurentPoly.q(
-            sign * a * ((j == i) - (j == i + 1)))
+def _k_single(n, kind, i, a):
+    """K_i^a on one factor ('v' plain, 'd' dual), as an entry dict."""
+    sign = 1 if kind == "v" else -1
+    return {(j, j): LaurentPoly.q(sign * a * ((j == i) - (j == i + 1)))
             for j in range(1, n + 1)}
+
+
+def _e_single(n, kind, i, a, k):
+    """K_i^a e_i^(k) on one factor, as an entry dict."""
+    if k == 0:
+        return _k_single(n, kind, i, a)
     if k == 1:
         if kind == "v":
             return {(i + 1, i): LaurentPoly.q(a)}
@@ -159,10 +164,7 @@ def _e_single(n, kind, i, a, k):
 def _f_single(n, kind, i, a, k):
     """f_i^(k) K_i^a on one factor."""
     if k == 0:
-        sign = 1 if kind == "v" else -1
-        return {(j, j): LaurentPoly.q(
-            sign * a * ((j == i) - (j == i + 1)))
-            for j in range(1, n + 1)}
+        return _k_single(n, kind, i, a)
     if k == 1:
         if kind == "v":
             return {(i, i + 1): LaurentPoly.q(a)}
@@ -272,9 +274,7 @@ def kappa(n):
         row = {}
         for w in itertools.permutations(range(n - 1)):
             img = tuple(base[w[t]] for t in range(n - 1))
-            inv = sum(1 for a in range(n - 1) for b in range(a + 1, n - 1)
-                      if w[a] > w[b])
-            row[img] = neg_q_power(i + inv)
+            row[img] = neg_q_power(i + inversions(w))
         out[i] = row
     return out
 
@@ -393,14 +393,13 @@ def commutant_dim(gens, keys, block_key=None):
     return total
 
 
-def commutant_dim_modular(gens, keys, block_key=None, q0=3, p=67108859):
+def commutant_dim_modular(gens, keys, block_key=None, q0=Q0, p=P):
     """Upper bound for commutant_dim: the same equations at q = q0 mod p.
 
     The commutant is the null space of the rows of _commutant_rows, and
     specializing q can only drop the rank of those rows, so the nullity
-    mod p is a certified upper bound for the exact dimension.
+    mod p (by rank_mod) is a certified upper bound for the exact dimension.
     """
-    import numpy
     _check_modulus(q0, p)
     blocks = _blocks([{k: v.eval_mod(q0, p) for k, v in g.terms.items()}
                       for g in gens], keys, block_key)
@@ -408,17 +407,9 @@ def commutant_dim_modular(gens, keys, block_key=None, q0=3, p=67108859):
     for src, tgt in itertools.product(blocks, repeat=2):
         nunk = len(src[0]) * len(tgt[0])
         pos = {u: t for t, u in enumerate(itertools.product(src[0], tgt[0]))}
-        at, vals = [], []
-        for i, items in enumerate(_commutant_rows(src, tgt)):
-            for u, v in items:
-                at.append(i * nunk + pos[u])
-                vals.append(v)
-        rows = numpy.zeros((at[-1] // nunk + 1 if at else 0) * nunk,
-                           dtype=numpy.int64)
-        numpy.add.at(rows, numpy.array(at, dtype=numpy.int64), vals)
-        ech = _ModEchelon(p, nunk)
-        ech.insert(rows.reshape(-1, nunk))
-        total += nunk - ech.rank
+        rows = ([(pos[u], v) for u, v in items]
+                for items in _commutant_rows(src, tgt))
+        total += nunk - rank_mod(rows, nunk, p)
     return total
 
 
@@ -527,7 +518,26 @@ class _ModEchelon:
         return self._rows[new]
 
 
-def image_algebra_dim_modular(gens, keys, q0=3, p=67108859):
+def rank_mod(rows, width, p):
+    """Rank over F_p of sparse rows: each an iterable of (column, residue)
+    pairs, columns in range(width), the residues of a repeated column
+    summed.  p must pass _check_modulus.  One _ModEchelon insert."""
+    import numpy
+    at, vals, nrows = [], [], 0
+    for row in rows:
+        for col, v in row:
+            at.append(nrows * width + col)
+            vals.append(v)
+        nrows += 1
+    flat = numpy.zeros(nrows * width, dtype=numpy.int64)
+    numpy.add.at(flat, numpy.array(at, dtype=numpy.int64),
+                 numpy.array(vals, dtype=numpy.int64))
+    ech = _ModEchelon(p, width)
+    ech.insert(flat.reshape(nrows, width))
+    return ech.rank
+
+
+def image_algebra_dim_modular(gens, keys, q0=Q0, p=P):
     """Lower bound for image_algebra_dim: the same closure at q = q0 mod p.
 
     Specializing q can only drop the dimension, so the result is a certified
@@ -595,7 +605,7 @@ def image_algebra_dim_modular(gens, keys, q0=3, p=67108859):
     return total
 
 
-def _squeeze(gens, keys, commutant_gens, block_key=None, q0=3, p=67108859,
+def _squeeze(gens, keys, commutant_gens, block_key=None, q0=Q0, p=P,
              commuting=True):
     """(commutant dim, image dim) by closure_p <= image <= commutant <=
     commutant_p.
@@ -617,7 +627,7 @@ def _squeeze(gens, keys, commutant_gens, block_key=None, q0=3, p=67108859,
 
 
 def certified_image_dim(gens, keys, commutant_gens, block_key=None,
-                        q0=3, p=67108859):
+                        q0=Q0, p=P):
     """Exact dimension of the unital algebra A generated by gens.
 
     Certified squeeze closure_p <= dim A <= commutant <= commutant_p.
@@ -687,7 +697,7 @@ def verify_schur_weyl(n, r, s):
     quantum-group generator commutes with every walled generator.
 
     The first two come from the chain closure_p <= image <= commutant <=
-    commutant_p at q = 3 mod 67108859.  The closure mod p is a lower
+    commutant_p at q = Q0 mod P.  The closure mod p is a lower
     bound; it runs on the classes of the K_i^(+-1), whose idempotents 1_C
     are Lagrange polynomials in the K's and so lie in the image (see
     image_algebra_dim_modular).  The middle step is the exact check that

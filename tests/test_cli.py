@@ -277,6 +277,11 @@ _BAD_PAIR = [{"plain": [[1, 2]], "starred": [[2, 1]], "coeff": {"0": "1"}}]
     # a bidegree-(1,1) element declared as (2,1)
     (["straighten", "mixed", "--n", "2", "--r", "2", "--s", "1"], _BAD_PAIR),
     (["iota", "--n", "2", "--r", "2", "--s", "1"], _BAD_PAIR),
+    # a JSON boolean as a coefficient, true or false
+    (["straighten", "ord", "--n", "2"],
+     [{"word": [[1, 1]], "coeff": {"0": True}}]),
+    (["straighten", "ord", "--n", "2"],
+     [{"word": [[1, 1]], "coeff": {"0": False}}]),
 ])
 def test_malformed_input_exits_2(argv, elem, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(elem)))

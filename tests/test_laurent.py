@@ -42,6 +42,16 @@ def test_negative_power_of_unit():
         (ONE + LaurentPoly.q(1)) ** -1
 
 
+@pytest.mark.parametrize("k", [-3, -2])
+def test_negative_power_of_minus_q_has_int_coefficients(k):
+    u = LaurentPoly.q(1, -1) ** k
+    assert u.terms == {k: (-1) ** abs(k)}
+    assert all(type(c) is int for c in u.terms.values())
+    assert u.to_json() == {str(k): str((-1) ** abs(k))}
+    assert LaurentPoly.from_json(u.to_json()) == u
+    assert u.content() == 1
+
+
 def test_neg_q_power():
     assert neg_q_power(0) == ONE
     assert neg_q_power(3) == LaurentPoly.q(3, -1)

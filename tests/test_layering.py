@@ -1,0 +1,79 @@
+"""The qschur modules use each other only through public names.
+
+A leading underscore marks a name as internal to its module.  This test
+parses every module of the package and fails when one of them imports an
+underscore name from another qschur module, or reads one as an attribute
+of another qschur module it has imported.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "qschur"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _source(node):
+    """The qschur module an ImportFrom reads from: '' for the package
+    itself, None outside qschur."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and \
+            node.module.partition(".")[0] == "qschur":
+        return node.module.partition(".")[2]
+    return None
+
+
+def violations(source, own):
+    """(line, module.name) of each use of another module's underscore
+    name in the given source of module own."""
+    tree = ast.parse(source)
+    aliases = {}    # local name -> the qschur module bound to it
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = _source(node)
+            for alias in node.names if mod is not None else ():
+                if mod == "" and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif mod != own and _private(alias.name):
+                    found.append((node.lineno, f"{mod}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                pkg, _, mod = alias.name.partition(".")
+                if pkg == "qschur" and mod in MODULES and alias.asname:
+                    aliases[alias.asname] = mod
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id, own) != own):
+            found.append((node.lineno,
+                          f"{aliases[node.value.id]}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_another_modules_private_names(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert violations(source, module) == []
+
+
+def test_the_check_sees_both_kinds_of_use():
+    source = ("from . import tensor as tn\n"
+              "from .linalg import Echelon, _coerce\n"
+              "from .tensor import rank_mod\n"
+              "import qschur.mixed as mx\n"
+              "x = tn._ModEchelon(3, 1)\n"
+              "y = tn.rank_mod([], 0, 3) + mx._grade((), 2)\n"
+              "z = self._own\n")
+    assert violations(source, "cli") == [(2, "linalg._coerce"),
+                                         (5, "tensor._ModEchelon"),
+                                         (6, "mixed._grade")]
+    # a module may use its own underscore names
+    assert violations("from .tensor import _matmul_mod\n", "tensor") == []

@@ -19,7 +19,7 @@ from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
                            image_algebra_dim_modular, k_vector, kappa,
                            kappa_mixed, mixed_basis, mixed_weight_block,
                            ordinary_basis, ordinary_weight_block,
-                           pi_restrict, ugen_mixed, ugen_on_kinds,
+                           pi_restrict, rank_mod, ugen_mixed, ugen_on_kinds,
                            ugen_ordinary, uprime_generators,
                            verify_schur_weyl, walled_generators, weight_le,
                            weight_projector)
@@ -270,6 +270,60 @@ def test_matmul_mod_matches_python_reference():
     got = _matmul_mod(numpy.array(a, dtype=numpy.int64),
                       numpy.array(b, dtype=numpy.int64), P)
     assert got.tolist() == want
+
+
+def rank_mod_reference(rows, width, p):
+    """Gaussian elimination mod p on dense Python-int rows (test oracle)."""
+    dense = []
+    for row in rows:
+        vec = [0] * width
+        for col, v in row:
+            vec[col] = (vec[col] + v) % p
+        dense.append(vec)
+    rank = 0
+    for col in range(width):
+        hit = next((i for i in range(rank, len(dense)) if dense[i][col]),
+                   None)
+        if hit is None:
+            continue
+        dense[rank], dense[hit] = dense[hit], dense[rank]
+        inv = pow(dense[rank][col], -1, p)
+        for i in range(rank + 1, len(dense)):
+            f = dense[i][col] * inv % p
+            dense[i] = [(a - f * b) % p for a, b in zip(dense[i], dense[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [7, P, 3037000493])
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_mod_matches_gaussian_elimination(p, seed):
+    rng = random.Random(seed)
+    width = rng.randrange(1, 12)
+    rows = []
+    for _ in range(rng.randrange(1, 14)):
+        # columns repeat within a row; some rows cancel to zero mod p
+        row = [(rng.randrange(width), rng.randrange(p))
+               for _ in range(rng.randrange(0, 6))]
+        if rng.random() < 0.2:
+            row += [(col, p - v) for col, v in row]
+        rows.append(row)
+    rows.append([])      # an all-zero row
+    # a row summing two earlier rows, so the rank falls short
+    rows.append(rows[0] + rows[1])
+    want = rank_mod_reference(rows, width, p)
+    assert rank_mod(rows, width, p) == want
+    assert rank_mod(iter(rows), width, p) == want
+
+
+def test_rank_mod_edge_cases():
+    assert rank_mod([], 3, P) == 0
+    assert rank_mod([[], []], 0, P) == 0
+    assert rank_mod([[(0, 1), (0, P - 1)]], 1, P) == 0
+    # residues of a repeated column add up before the rank is taken
+    assert rank_mod([[(0, 2), (0, 3)], [(0, 5)]], 1, 7) == 1
+    assert rank_mod([[(1, 3)], [(0, 1), (1, 1)], [(0, 1)]], 2, 3037000493) \
+        == 2
 
 
 # -- the block closure and the modular commutant bound -----------------------
