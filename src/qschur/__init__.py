@@ -4,8 +4,7 @@ Modules:
 
 * :mod:`qschur.laurent`  -- arithmetic in Z[q, q^-1], quantum integers.
 * :mod:`qschur.linalg`   -- exact sparse linear algebra over the Laurent
-  ring; its fraction field appears only as the scale of coset
-  coordinates.
+  ring; every computation of the package stays in Z[q, q^-1].
 * :mod:`qschur.tableaux` -- partitions, (rational) tableaux, the
   rational/ordinary tableau correspondence, multi-indices, permutations.
 * :mod:`qschur.qmatrix`  -- the quantum matrix algebra, quantum minors,
@@ -13,7 +12,7 @@ Modules:
   coefficients.
 * :mod:`qschur.mixed`    -- the mixed coefficient algebra, the embedding
   iota, rational bideterminants and their straightening (Laurent
-  coefficients too), phi.
+  coefficients too), phi with a Laurent representative.
 * :mod:`qschur.tensor`   -- Hecke/walled/quantum-group generator matrices
   on (mixed) tensor space, commutant and image dimensions, the end-to-end
   double-commutant verification.
@@ -21,10 +20,9 @@ Modules:
 """
 
 from .laurent import LaurentPoly, quantum_binomial, quantum_integer
-from .linalg import RationalFn
 from .tensor import verify_schur_weyl
 
-__all__ = ["LaurentPoly", "RationalFn", "quantum_binomial",
-           "quantum_integer", "verify_schur_weyl"]
+__all__ = ["LaurentPoly", "quantum_binomial", "quantum_integer",
+           "verify_schur_weyl"]
 
 __version__ = "0.1.0"

@@ -296,15 +296,6 @@ def laurent_divmod(a, b):
     return qp, rp
 
 
-def divides(b, a):
-    """True iff b divides a exactly in Z[q,q^-1]."""
-    try:
-        _, rem = laurent_divmod(a, b)
-    except ValueError:
-        return False
-    return rem.is_zero()
-
-
 def exact_div(a, b):
     quo, rem = laurent_divmod(a, b)
     if not rem.is_zero():

@@ -3,12 +3,9 @@
 Three engines are provided:
 
 * :class:`Echelon` -- incremental fraction-free row reduction with
-  Laurent-polynomial rows, used for ranks, nullities and canonical coset
-  coordinates (no polynomial division ever happens during elimination).
-  Its coset scale is a :class:`RationalFn`; that scale, met only in
-  ``mixed.MixedQuotient.coords`` (the coordinates ``mixed.phi``
-  returns), is the fraction field's only job in the package besides
-  ``SpanSolver``.  Ranks and zero tests use the Laurent residual.
+  Laurent-polynomial rows, used for ranks, nullities and coset zero tests
+  (no polynomial division ever happens during elimination).  Its one
+  reduction, :meth:`Echelon.reduce`, returns a Laurent residual.
 * :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
   with combination tracking, for spanning sets whose transition matrix is
   unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
@@ -16,7 +13,8 @@ Three engines are provided:
   straightening through iota, and of ``tensor.pi_restrict``.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
   with combination tracking.  It serves only :func:`mat_nullspace`, the
-  nullspace basis over the fraction field.
+  nullspace basis over the fraction field; these two are the only users
+  of :class:`RationalFn`, and no computation of the package calls them.
 
 Vectors are dicts from a sortable column key to a nonzero entry.  Every
 sparse sum in the package is built with :func:`accumulate` (add a scaled
@@ -233,15 +231,13 @@ def _coerce(x):
 
 
 def _strip_content(v):
-    """Divide a Laurent row dict by its joint integer content; return (row, g)."""
+    """Divide a Laurent row dict by its joint integer content."""
     g = 0
     for p in v.values():
         g = gcd(g, p.content())
         if g == 1:
-            return v, 1
-    if g <= 1:
-        return v, max(g, 1)
-    return {c: p.int_div(g) for c, p in v.items()}, g
+            return v
+    return {c: p.int_div(g) for c, p in v.items()} if g > 1 else v
 
 
 class Echelon:
@@ -249,8 +245,9 @@ class Echelon:
 
     Rows are sparse dicts column-key -> LaurentPoly.  Maintained fully
     reduced: no row has an entry in another row's pivot column, so a single
-    forward pass reduces any vector.  Reduction is linear and, once the
-    echelon is frozen, canonical.
+    forward pass reduces any vector.  The residual of v is a nonzero
+    scalar multiple of its canonical coset representative, so it is empty
+    exactly when v lies in the span.
     """
 
     def __init__(self):
@@ -261,49 +258,25 @@ class Echelon:
     def rank(self):
         return len(self.pivots)
 
-    def _eliminate(self, v):
-        """Clear the pivot columns from v and strip the content.
+    def reduce(self, v):
+        """The residual of v modulo the row span, content stripped.
 
-        Returns (residual, the pivot entries v was multiplied by, the
-        integer content divided out).  v is not modified.
+        Clears the pivot columns from v by fraction-free elimination and
+        divides out the joint integer content; the entries are Laurent.
+        v is not modified.
         """
         v = {k: val for k, val in v.items() if not val.is_zero()}
-        factors = []
         # rows have no entries in other pivot columns, so clearing one
         # pivot leaves the others in v nonzero and the order is immaterial
         for c in [c for c in v if c in self.pivots]:
             row = self.pivots[c]
-            p = row[c]
-            v = accumulate({k: val * p for k, val in v.items()},
+            v = accumulate({k: val * row[c] for k, val in v.items()},
                            row.items(), -v[c])
-            factors.append(p)
-        g = 1
-        if v:
-            v, g = _strip_content(v)
-        return v, factors, g
-
-    def residual(self, v):
-        """The residual of reduce(v), without building its scale."""
-        return self._eliminate(v)[0]
-
-    def reduce(self, v):
-        """Reduce v against the echelon.
-
-        Returns (residual, scale) with the exact residual of v modulo the
-        row span equal to scale * residual; residual has Laurent entries and
-        scale is a RationalFn.  v is not modified.
-        """
-        v, factors, g = self._eliminate(v)
-        scale = RationalFn.one()
-        for p in factors:
-            scale = scale / RationalFn(p)
-        if g > 1:
-            scale = scale * g
-        return v, scale
+        return _strip_content(v)
 
     def insert(self, v):
         """Add v to the span; returns True if it enlarged the span."""
-        res = self.residual(v)
+        res = self.reduce(v)
         if not res:
             return False
         # pivot with the fewest terms to limit expression swell
@@ -315,21 +288,14 @@ class Echelon:
             coeff = row.get(pc)
             if coeff is None:
                 continue
-            new = accumulate({k: val * p for k, val in row.items()},
-                             res.items(), -coeff)
-            new, _ = _strip_content(new)
-            self.pivots[c0] = new
+            self.pivots[c0] = _strip_content(accumulate(
+                {k: val * p for k, val in row.items()}, res.items(), -coeff))
         self.pivots[pc] = res
         self._order.append(pc)
         return True
 
     def contains(self, v):
-        return not self.residual(v)
-
-    def coords(self, v):
-        """Canonical coordinates of v modulo the row span (RationalFn dict)."""
-        res, scale = self.reduce(v)
-        return {c: scale * RationalFn(p) for c, p in res.items()}
+        return not self.reduce(v)
 
 
 def _reduce_tracked(rows, v, combo):

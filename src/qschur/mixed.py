@@ -165,8 +165,7 @@ class MixedQuotient:
     """The bidegree-(r, s) component modulo the relation span Y.
 
     The relation span decomposes along the content-difference grading, so
-    it is echelonized blockwise; coordinates of a coset are the canonical
-    residual of any representative; rank and zero tests use residual().
+    it is echelonized blockwise; rank and zero tests use residual().
     """
 
     def __init__(self, n, r, s):
@@ -184,28 +183,20 @@ class MixedQuotient:
     def dimension(self):
         return len(self.words) - sum(e.rank for e in self.blocks.values())
 
-    def _reduce(self, a, method):
-        """method(echelon, part) over the grade parts of a, concatenated."""
+    def residual(self, a):
+        """The per-grade Echelon residuals of a, concatenated (Laurent).
+
+        On each grade it is a nonzero scalar times the canonical coset
+        representative, so ranks of grade-homogeneous rows, and membership
+        in their (graded) span, agree with those of the cosets."""
         parts = {}
         for w, c in a.terms.items():
             parts.setdefault(_grade(w, self.n), {})[w] = c
         out = {}
         for grade, vec in parts.items():
             # a grade without relations reduces against an empty echelon
-            out.update(method(self.blocks.get(grade) or Echelon(), vec))
+            out.update((self.blocks.get(grade) or Echelon()).reduce(vec))
         return out
-
-    def coords(self, a):
-        """Canonical coset coordinates: dict word -> RationalFn."""
-        return self._reduce(a, Echelon.coords)
-
-    def residual(self, a):
-        """The per-grade Echelon residuals of a, concatenated (Laurent).
-
-        On each grade it is a nonzero scalar times coords(a), so ranks of
-        grade-homogeneous rows, and membership in their (graded) span,
-        agree with those of the coordinates."""
-        return self._reduce(a, Echelon.residual)
 
     def is_coset_zero(self, a):
         return not self.residual(a)
@@ -436,11 +427,11 @@ def _to_rational(expansion, n, r, s):
 
 
 def phi(a, n, r, s):
-    """The one-sided inverse of iota, as canonical coset coordinates.
+    """The one-sided inverse of iota, as a Laurent representative.
 
-    Straightens a homogeneous element of degree r+(n-1)s, sums the
-    rational bideterminants of the terms that _to_rational keeps into one
-    Laurent representative and returns the coordinates of its coset.
+    Straightens a homogeneous element of degree r+(n-1)s and returns the
+    sum of the rational bideterminants of the terms that _to_rational
+    keeps, a MixedElem of bidegree (r, s): phi(iota(b)) - b lies in Y.
     """
     if not a.is_zero() and a.degree() != r + (n - 1) * s:
         raise ValueError("degree must be r + (n-1)s")
@@ -449,7 +440,7 @@ def phi(a, n, r, s):
     for (k, rt, rt2), coeff in terms.items():
         accumulate(rep, rational_bideterminant(rt, rt2, k, n).terms.items(),
                    coeff)
-    return quotient(n, r, s).coords(MixedElem(rep, normalized=True))
+    return MixedElem(rep, normalized=True)
 
 
 def rational_straighten(a, n, r, s):
@@ -505,15 +496,14 @@ def check_straightening_shift(n, r_vec, s_vec, j, k):
     to (-1)^k q^(k(k-1)) times the same sum over j_1 < ... < j_k <= j,
     modulo the sandwiched dfrak^(1) span.
     """
-    lhs = MixedElem.zero()
-    for jt in itertools.combinations(range(j + 1, n + 1), k):
-        lhs = lhs + minor_pair(r_vec, s_vec, jt)
-    rhs = MixedElem.zero()
-    for jt in itertools.combinations(range(1, j + 1), k):
-        rhs = rhs + minor_pair(r_vec, s_vec, jt)
     eps = LaurentPoly.q(k * (k - 1), (-1) ** k)
-    diff = lhs - rhs.scale(eps)
-    return det_ideal_checker(n, k, k).congruent_zero(diff)
+    diff = {}
+    for jt in itertools.combinations(range(j + 1, n + 1), k):
+        accumulate(diff, minor_pair(r_vec, s_vec, jt).terms.items())
+    for jt in itertools.combinations(range(1, j + 1), k):
+        accumulate(diff, minor_pair(r_vec, s_vec, jt).terms.items(), -eps)
+    return det_ideal_checker(n, k, k).congruent_zero(
+        MixedElem(diff, normalized=True))
 
 
 def violating_instance_data(n, r_prime, s_prime):
@@ -552,7 +542,7 @@ def check_straightening_vanishing(n, r_prime, s_prime, r_vec, s_vec):
     _, common, L1, L2, C, D, k = violating_instance_data(n, r_prime, s_prime)
     if len(r_vec) != len(r_prime) or len(s_vec) != len(s_prime):
         raise ValueError("row multi-index lengths must match")
-    total = MixedElem.zero()
+    total = {}
     for jt in itertools.combinations(D, k):
         m = sum(1 for jl in jt for c in C if jl < c)
         cols_left = tuple(L1) + tuple(reversed(jt))
@@ -561,5 +551,6 @@ def check_straightening_vanishing(n, r_prime, s_prime, r_vec, s_vec):
         right = quantum_minor_right(list(s_vec), list(cols_right), qexp=-1)
         term = mixed_multiply(MixedElem.from_plain(left),
                               MixedElem.from_starred(right))
-        total = total + term.scale(LaurentPoly.q(2 * m))
-    return det_ideal_checker(n, len(r_vec), len(s_vec)).congruent_zero(total)
+        accumulate(total, term.terms.items(), LaurentPoly.q(2 * m))
+    return det_ideal_checker(n, len(r_vec), len(s_vec)).congruent_zero(
+        MixedElem(total, normalized=True))

@@ -77,3 +77,51 @@ def test_the_check_sees_both_kinds_of_use():
                                          (6, "mixed._grade")]
     # a module may use its own underscore names
     assert violations("from .tensor import _matmul_mod\n", "tensor") == []
+
+
+# the fraction-field engines, kept in linalg as test oracles only
+FRACTION_NAMES = {"RationalFn", "SpanSolver", "mat_nullspace"}
+
+
+def fraction_uses(source, own):
+    """(line, name) of each use of a fraction-field engine outside linalg,
+    and of each definition or call of a coords method anywhere."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        if own != "linalg":
+            found += [(node.lineno, name) for name in names
+                      if name in FRACTION_NAMES]
+        if isinstance(node, ast.FunctionDef) and node.name == "coords":
+            found.append((node.lineno, "def coords"))
+        elif isinstance(node, ast.Call) and "coords" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append((node.lineno, "coords()"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_runtime_modules_stay_in_the_laurent_ring(module):
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert fraction_uses(source, module) == []
+
+
+def test_the_fraction_check_sees_names_imports_and_coords():
+    source = ("from .linalg import RationalFn\n"
+              "from . import linalg\n"
+              "x = linalg.SpanSolver()\n"
+              "y = mat_nullspace([], 0)\n"
+              "def coords(a):\n"
+              "    return quot.coords(a)\n")
+    assert fraction_uses(source, "mixed") == [
+        (1, "RationalFn"), (3, "SpanSolver"), (4, "mat_nullspace"),
+        (5, "def coords"), (6, "coords()")]
+    assert fraction_uses(source, "linalg") == [(5, "def coords"),
+                                               (6, "coords()")]

@@ -1,14 +1,13 @@
 """The mixed coefficient algebra, iota, rational straightening, phi."""
 
-import functools
 import itertools
 import random
 
 import pytest
 
 from qschur import mixed
-from qschur.laurent import LaurentPoly, ONE, exact_div, neg_q_power
-from qschur.linalg import Echelon, SpanSolver
+from qschur.laurent import LaurentPoly, ONE
+from qschur.linalg import Echelon, accumulate
 from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           check_straightening_shift,
                           check_straightening_vanishing,
@@ -133,29 +132,19 @@ def test_rational_basis_rejects_a_dependent_bideterminant(monkeypatch):
         mixed._RationalBasis(2, 1, 1)
 
 
-@functools.cache
-def fraction_field_basis(n, r, s):
-    """A SpanSolver over the quotient coordinates of the standard rational
-    bideterminants, in the order of rational_basis(n, r, s).index."""
-    quot = quotient(n, r, s)
-    solver = SpanSolver()
-    for k, rt, rt2 in rational_basis(n, r, s).index:
-        b = rational_bideterminant(rt, rt2, k, n)
-        assert solver.insert(quot.coords(b))
-    return solver
+def reconstructs(expansion, a, n, r, s):
+    """The expansion sums its standard rational bideterminants back to a
+    modulo Y.  rational_basis(n, r, s) building certifies that those
+    bideterminants are independent mod Y, so this pins the expansion."""
+    assert set(expansion) <= set(rational_basis(n, r, s).index)
+    total = {w: -c for w, c in a.terms.items()}
+    for (k, rt, rt2), c in expansion.items():
+        accumulate(total, rational_bideterminant(rt, rt2, k, n).terms.items(),
+                   c)
+    return quotient(n, r, s).is_coset_zero(MixedElem(total, normalized=True))
 
 
-def basis_route(a, n, r, s):
-    """The former rational_straighten: solve quotient coordinates over the
-    fraction field against the standard rational bideterminants."""
-    index = rational_basis(n, r, s).index
-    combo = fraction_field_basis(n, r, s).solve(quotient(n, r, s).coords(a))
-    assert combo is not None
-    return {index[pos]: c for pos, c in combo.items() if not c.is_zero()}
-
-
-# (2, 3, 3) is left out: its quotient takes minutes to build, and the
-# coordinates of its 84 basis cosets minutes more
+# (2, 3, 3) is left out: its quotient takes minutes to build
 IOTA_ROUTE_POINTS = ([(2, r, s) for r in range(4) for s in range(4)
                       if r + s and (r, s) != (3, 3)]
                      + [(3, r, s) for r in range(4) for s in range(4)
@@ -164,20 +153,20 @@ IOTA_ROUTE_POINTS = ([(2, r, s) for r in range(4) for s in range(4)
 
 @pytest.mark.parametrize("n, r, s", IOTA_ROUTE_POINTS)
 def test_rational_straighten_matches_the_basis_route(n, r, s):
-    words = quotient(n, r, s).words
+    quot = quotient(n, r, s)
+    words = quot.words
     for word in words:
         elem = MixedElem({word: ONE}, normalized=True)
-        assert rational_straighten(elem, n, r, s) == \
-            basis_route(elem, n, r, s)
+        assert reconstructs(rational_straighten(elem, n, r, s), elem, n, r, s)
     rng = random.Random(f"{n}{r}{s}")
     for _ in range(3):
         elem = MixedElem({w: LaurentPoly({rng.randint(-2, 2):
                                           rng.choice((-2, -1, 1, 3))})
                           for w in rng.sample(words, min(5, len(words)))})
         expansion = rational_straighten(elem, n, r, s)
-        assert expansion == basis_route(elem, n, r, s)
+        assert reconstructs(expansion, elem, n, r, s)
         assert all(isinstance(c, LaurentPoly) for c in expansion.values())
-        assert phi(iota(elem, n), n, r, s) == quotient(n, r, s).coords(elem)
+        assert quot.is_coset_zero(phi(iota(elem, n), n, r, s) - elem)
 
 
 def test_rational_straighten_rejects_another_bidegree():
@@ -193,7 +182,7 @@ def test_a_shape_outside_the_rational_condition(monkeypatch):
     # that bideterminant, rational_straighten raises on it
     t = Tableau(Partition((1, 1)), ((1,), (2,)))
     img = bideterminant(t, t)
-    assert phi(img, 3, 0, 1) == {}
+    assert phi(img, 3, 0, 1).is_zero()
     monkeypatch.setattr(mixed, "iota", lambda a, n: img)
     with pytest.raises(AssertionError):
         rational_straighten(MixedElem.starred_gen(1, 1), 3, 0, 1)
@@ -213,7 +202,9 @@ def test_phi_inverts_iota_on_basis():
         quot = quotient(n, r, s)
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
             b = rational_bideterminant(rt, rt2, k, n)
-            assert phi(iota(b, n), n, r, s) == quot.coords(b)
+            rep = phi(iota(b, n), n, r, s)
+            assert all(len(pw) == r and len(sw) == s for pw, sw in rep.terms)
+            assert quot.is_coset_zero(rep - b)
 
 
 def test_phi_kills_nothing_extra():
@@ -223,36 +214,32 @@ def test_phi_kills_nothing_extra():
     total = MixedElem.zero()
     for word in quot.words:
         total = total + MixedElem({word: ONE}, normalized=True)
-    assert phi(iota(total, n), n, r, s) == quot.coords(total)
+    assert quot.is_coset_zero(phi(iota(total, n), n, r, s) - total)
 
 
-def clear_denominators(row):
-    """A RationalFn dict times the product of its denominators (Laurent)."""
-    den = ONE
-    for v in row.values():
-        den = den * v.den
-    return {k: v.num * exact_div(den, v.den) for k, v in row.items()}
-
-
-def cleared_congruent_zero(n, r, s):
-    """DetIdealChecker.congruent_zero by the cleared-coordinates route: the
-    quotient coordinates of the sandwiched dfrak^(1), cleared of
-    denominators, ranked by an Echelon."""
-    quot = quotient(n, r, s)
+def raw_span(gens):
+    """One Echelon over the raw terms of gens: no grading, no quotient."""
     ech = Echelon()
-    for pw in monomial_basis(n, r - 1):
-        for sw in monomial_basis(n, s - 1):
-            g = mixed_multiply(mixed_multiply(
-                MixedElem({(pw, ()): ONE}, normalized=True), det_frak(1, n)),
-                MixedElem({((), sw): ONE}, normalized=True))
-            ech.insert(clear_denominators(quot.coords(g)))
-    return lambda a: ech.contains(clear_denominators(quot.coords(a)))
+    for g in gens:
+        ech.insert(g.terms)
+    return ech
+
+
+def raw_congruent_zero(n, r, s):
+    """DetIdealChecker.congruent_zero by the raw-span route: membership in
+    the span of the relation generators and the sandwiched dfrak^(1)."""
+    sandwiched = [mixed_multiply(mixed_multiply(
+        MixedElem({(pw, ()): ONE}, normalized=True), det_frak(1, n)),
+        MixedElem({((), sw): ONE}, normalized=True))
+        for pw in monomial_basis(n, r - 1) for sw in monomial_basis(n, s - 1)]
+    ech = raw_span(cross_relation_generators(n, r, s) + sandwiched)
+    return lambda a: ech.contains(a.terms)
 
 
 @pytest.mark.parametrize("n, r, s", [(2, 1, 1), (3, 1, 1)])
-def test_congruent_zero_matches_the_cleared_coordinates_route(n, r, s):
+def test_congruent_zero_matches_the_raw_span(n, r, s):
     checker = det_ideal_checker(n, r, s)
-    oracle = cleared_congruent_zero(n, r, s)
+    oracle = raw_congruent_zero(n, r, s)
     words = quotient(n, r, s).words
     gens = cross_relation_generators(n, r, s)
     rng = random.Random(f"congruent{n}{r}{s}")
@@ -275,16 +262,24 @@ def test_congruent_zero_matches_the_cleared_coordinates_route(n, r, s):
     assert True in verdicts and False in verdicts
 
 
-def test_quotient_residual_vanishes_with_the_coordinates():
+def test_quotient_residual_vanishes_with_the_raw_span():
     quot = quotient(2, 2, 1)
+    gens = cross_relation_generators(2, 2, 1)
+    oracle = raw_span(gens)
     rng = random.Random("residual")
-    for g in cross_relation_generators(2, 2, 1)[:10]:
-        assert quot.residual(g) == {} == quot.coords(g)
+    for g in gens[:10]:
+        assert quot.residual(g) == {}
+    verdicts = []
     for _ in range(10):
-        a = MixedElem({w: LaurentPoly.q(rng.randint(-2, 2))
-                       for w in rng.sample(quot.words, 3)})
-        assert bool(quot.residual(a)) == bool(quot.coords(a))
-        assert set(quot.residual(a)) == set(quot.coords(a))
+        zero = MixedElem.zero()
+        for g in rng.sample(gens, 3):
+            zero = zero + g.scale(LaurentPoly.q(rng.randint(-2, 2)))
+        other = MixedElem({w: LaurentPoly.q(rng.randint(-2, 2))
+                           for w in rng.sample(quot.words, 3)})
+        for a in (zero, zero + other, other):
+            verdicts.append(quot.is_coset_zero(a))
+            assert verdicts[-1] == oracle.contains(a.terms)
+    assert True in verdicts and False in verdicts
 
 
 def test_straightening_shift_instances():
