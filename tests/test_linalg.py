@@ -126,8 +126,24 @@ def test_echelon_reduce_matches_the_all_pivots_loop(rows, vecs):
     for row in rows:
         ech.insert(row)
     for v in vecs + rows:
+        assert ech.reduce(v) == reduce_over_all_pivots(ech, v)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=4),
+                max_size=5),
+       st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=5),
+                min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_echelon_residual_matches_reduce(rows, vecs):
+    """The residual reduce returns has no pivot column left, is its own
+    residual, and is empty exactly when contains holds."""
+    ech = Echelon()
+    for row in rows:
+        ech.insert(row)
+    for v in vecs + rows:
         res = ech.reduce(v)
-        assert res == reduce_over_all_pivots(ech, v)
+        assert not set(res) & set(ech.pivots)
+        assert ech.reduce(res) == res
         assert ech.contains(v) == (not res)
 
 
