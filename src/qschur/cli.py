@@ -260,23 +260,29 @@ def _image_rank_modular(images, n):
 def suite_kernel_y(points):
     """iota kills the relation span Y and is injective on the quotient.
 
-    killed: mx.iota(g) = 0 for each relation generator g; iota reuses the
-    cached image of each starred word.  The image rank of the quotient
-    words then sits in the chain rank_p <= image rank <= quotient dim: the
-    lower step is the rank mod p of the images at q = tn.Q0
-    (_image_rank_modular), and the upper step holds because iota factors
-    through the exact quotient.  When rank_p meets the quotient dim, that
-    is the image rank.  Otherwise, or if a generator is not killed, the
-    images are straightened (a unimodular change of basis, so the rank is
-    the same) and ranked exactly with an Echelon.
+    killed: mx.iota(core) = 0 for each relation core, and iota of the
+    starred letters respects the starred quadratic relations
+    (mx.iota_respects_starred_relations), so iota(h1 * core * h3) =
+    h1 * iota(core) * iota(h3) vanishes on every generator of Y.  The image
+    rank of the quotient words then sits in the chain rank_p <= image rank
+    <= quotient dim: the lower step is the rank mod p of the images at
+    q = tn.Q0 (_image_rank_modular), and the upper step holds because iota
+    factors through the exact quotient.  When rank_p meets the quotient
+    dim, that is the image rank.  Otherwise, or if a core is not killed,
+    the images are straightened (a unimodular change of basis, so the rank
+    is the same) and ranked exactly with an Echelon.  generators is the
+    number of sandwiched relations the quotient was built from.
     """
     for p in points:
         n, r, s = p["n"], p["r"], p["s"]
-        gens = mx.cross_relation_generators(n, r, s)
         quot = mx.quotient(n, r, s)
         images = [mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
                   for w in quot.words]
-        killed = all(mx.iota(g, n).is_zero() for g in gens)
+        # Y is 0 unless r, s >= 1
+        killed = not quot.generators or (
+            mx.iota_respects_starred_relations(n) and all(
+                mx.iota(core, n).is_zero()
+                for core in mx.cross_relation_cores(n)))
         dim = quot.dimension()
         rank = _image_rank_modular(images, n) if killed else None
         if rank != dim:
@@ -284,7 +290,7 @@ def suite_kernel_y(points):
             for img in images:
                 ech.insert(qm.straighten(img, n))
             rank = ech.rank
-        yield _case(killed and rank == dim, **p, generators=len(gens),
+        yield _case(killed and rank == dim, **p, generators=quot.generators,
                     image_rank=rank, quotient_dim=dim)
 
 

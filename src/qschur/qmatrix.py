@@ -147,8 +147,10 @@ def _sort_with_sign(seq, unit):
     return tuple(sorted(seq)), unit ** inversions(list(seq))
 
 
+@functools.cache
 def _quantum_minor(rows, cols, qexp, left):
-    """The shared body of the right and left quantum minors."""
+    """The shared body of the right and left quantum minors, cached on the
+    index tuples as given: the result is shared, so do not modify it."""
     if len(rows) != len(cols):
         raise ValueError("row and column lists must have equal length")
     rewriter = PLAIN if qexp == 1 else STARRED
@@ -176,17 +178,19 @@ def quantum_minor_right(rows, cols, qexp=1):
 
     For increasing indices this is sum_w (-q)^{l(w)} x_{i_w(1) j_1} ...;
     a row swap contributes -q^-1 and a column swap -q (with q -> q^-1 when
-    qexp = -1).  Repeated indices give zero.
+    qexp = -1).  Repeated indices give zero.  The result is cached and
+    shared: do not modify it.
     """
-    return _quantum_minor(rows, cols, qexp, left=False)
+    return _quantum_minor(tuple(rows), tuple(cols), qexp, False)
 
 
 def quantum_minor_left(rows, cols, qexp=1):
     """The left quantum minor: sum_w (-q)^{l(w)} x_{i_1 j_w(1)} ...
 
     Sign rules are mirrored: a row swap contributes -q, a column swap -q^-1.
+    The result is cached and shared: do not modify it.
     """
-    return _quantum_minor(rows, cols, qexp, left=True)
+    return _quantum_minor(tuple(rows), tuple(cols), qexp, True)
 
 
 def quantum_det(n):
@@ -199,19 +203,21 @@ def bideterminant(t, t2, qexp=1):
     """Product of right row minors, taken in reversed row order.
 
     The twisted (qexp = -1) variant multiplies in forward row order, which
-    is the convention for the starred half of the mixed algebra.
+    is the convention for the starred half of the mixed algebra.  A
+    one-row result is the cached minor itself: do not modify it.
     """
     if t.shape != t2.shape:
         raise ValueError("bitableau halves must have equal shape")
     rewriter = PLAIN if qexp == 1 else STARRED
-    result = AlgebraElem.one()
     rows = list(zip(t.rows, t2.rows))
     if qexp == 1:
         rows.reverse()
-    for row, row2 in rows:
-        result = multiply(result, quantum_minor_right(list(row), list(row2),
-                                                      qexp=qexp),
-                          rewriter=rewriter)
+    minors = [quantum_minor_right(row, row2, qexp=qexp) for row, row2 in rows]
+    if not minors:
+        return AlgebraElem.one()
+    result = minors[0]
+    for minor in minors[1:]:
+        result = multiply(result, minor, rewriter=rewriter)
     return result
 
 

@@ -1,5 +1,7 @@
 """The kernel-Y suite: the modular squeeze against the exact route."""
 
+import functools
+
 import pytest
 
 from qschur import cli
@@ -50,16 +52,44 @@ def test_a_low_modular_rank_falls_back_to_the_exact_rank(n, r, s,
 
 
 def test_a_non_relation_is_not_killed(monkeypatch):
+    # the suite certifies "iota kills Y" on the relation cores, so the
+    # intruder goes in as an extra core of bidegree (1, 1) that is not in Y
     n, r, s = 2, 1, 1
     quot = mx.quotient(n, r, s)   # build the cached quotient unpatched
-    real = mx.cross_relation_generators
+    real = mx.cross_relation_cores
     intruder = mx.MixedElem({quot.words[0]: ONE}, normalized=True)
-    monkeypatch.setattr(mx, "cross_relation_generators",
-                        lambda *a: real(*a) + [intruder])
+    assert not quot.is_coset_zero(intruder)
+    monkeypatch.setattr(mx, "cross_relation_cores",
+                        lambda n: real(n) + [intruder])
     case = kernel_y_case(n, r, s)
     assert not case["ok"]
-    assert case == exact_route(n, r, s)
+    # cross_relation_generators sandwiches the patched cores, so the
+    # oracle counts the intruder among its generators; the quotient, built
+    # before the patch, does not
+    oracle = exact_route(n, r, s)
+    assert not oracle["ok"]
+    assert oracle["generators"] == quot.generators + 1
+    assert case == dict(oracle, generators=quot.generators)
     assert case["image_rank"] == case["quotient_dim"] == 10
+
+
+def test_the_relation_check_sees_a_broken_starred_letter(monkeypatch):
+    # doubling iota(x*_12) breaks x*_22 x*_11 = x*_11 x*_22 + ... x*_12 x*_21
+    n = 2
+    real = mx.iota_starred_letter
+
+    def broken(i, j, n):
+        img = real(i, j, n)
+        return img.scale(2) if (i, j) == (1, 2) else img
+
+    assert mx.iota_respects_starred_relations(n)
+    monkeypatch.setattr(mx, "iota_starred_letter", broken)
+    monkeypatch.setattr(mx, "iota_starred_word",
+                        functools.cache(mx.iota_starred_word.__wrapped__))
+    monkeypatch.setattr(mx, "iota_respects_starred_relations",
+                        mx.iota_respects_starred_relations.__wrapped__)
+    assert not mx.iota_respects_starred_relations(n)
+    assert not kernel_y_case(n, 1, 1)["ok"]
 
 
 def test_images_of_mixed_content_are_rejected():

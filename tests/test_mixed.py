@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qschur import mixed
-from qschur.laurent import LaurentPoly, ONE
+from qschur.laurent import LaurentPoly, ONE, neg_q_log
 from qschur.linalg import Echelon, accumulate
 from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           check_straightening_shift,
@@ -20,7 +20,8 @@ from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           violating_instance_data)
 from qschur.qmatrix import (AlgebraElem, bideterminant, monomial_basis,
                             multiply, quantum_det, straighten)
-from qschur.tableaux import Partition, Tableau, enumerate_standard_rational
+from qschur.tableaux import (Partition, Tableau, enumerate_standard_rational,
+                             rational_to_ordinary)
 
 
 def test_mixed_halves_commute_against_plain_model():
@@ -195,6 +196,64 @@ def test_c_exponent_form():
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
             c = c_exponent(rt, rt2, k, n, r, s)
             assert isinstance(c, int)
+
+
+RATIONAL_BASIS_POINTS = [(n, r, s) for n in (2, 3) for r in range(3)
+                         for s in range(3) if r + s]
+
+
+def c_by_straightening(rt, rt2, k, n, s):
+    """c read off the straightened iota image, which must be the one
+    standard pair of the images of rt and rt2 times a power of -q."""
+    img = iota(rational_bideterminant(rt, rt2, k, n), n)
+    ((t, t2), coeff), = straighten(img, n).items()
+    assert (t, t2) == (rational_to_ordinary(rt, n, s),
+                       rational_to_ordinary(rt2, n, s))
+    c = neg_q_log(coeff)
+    assert c is not None
+    return c
+
+
+@pytest.mark.parametrize("n, r, s", RATIONAL_BASIS_POINTS)
+def test_c_exponent_matches_the_straightened_image(n, r, s):
+    for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
+        assert c_exponent(rt, rt2, k, n, r, s) == \
+            c_by_straightening(rt, rt2, k, n, s)
+
+
+def drop_term(img, pos):
+    words = sorted(img.terms)
+    return AlgebraElem({w: img.terms[w] for w in words if w != words[pos]},
+                       normalized=True)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda img: img.scale(2),
+    lambda img: img.scale(-1),
+    lambda img: img.scale(LaurentPoly.q(1) + LaurentPoly.q(-1)),
+    lambda img: img + multiply(AlgebraElem.generator(2, 2),
+                               AlgebraElem.generator(1, 1)),
+    lambda img: drop_term(img, 0),
+    lambda img: drop_term(img, -1)],
+    ids=["doubled", "negated", "times-q+q^-1", "extra-term", "first-dropped",
+         "last-dropped"])
+def test_c_exponent_rejects_a_corrupted_image(corrupt, monkeypatch):
+    n, r, s = 2, 1, 1
+    k, rt, rt2 = standard_rational_bitableaux(n, r, s)[-1]
+    real = mixed.iota
+    monkeypatch.setattr(mixed, "iota", lambda a, n: corrupt(real(a, n)))
+    with pytest.raises(AssertionError):
+        c_exponent.__wrapped__(rt, rt2, k, n, r, s)
+
+
+def test_c_exponent_needs_a_unit_coefficient(monkeypatch):
+    n, r, s = 2, 1, 1
+    k, rt, rt2 = standard_rational_bitableaux(n, r, s)[-1]
+    real = mixed.bideterminant
+    monkeypatch.setattr(mixed, "bideterminant",
+                        lambda t, t2: real(t, t2).scale(2))
+    with pytest.raises(AssertionError, match="no unit coefficient"):
+        c_exponent.__wrapped__(rt, rt2, k, n, r, s)
 
 
 def test_phi_inverts_iota_on_basis():

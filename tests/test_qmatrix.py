@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+from qschur import cli
+from qschur import qmatrix as qm
 from qschur.laurent import LaurentPoly, ONE, neg_q_power
 from qschur.linalg import Echelon
 from qschur.qmatrix import (PLAIN, STARRED, AlgebraElem, bideterminant,
@@ -11,7 +13,7 @@ from qschur.qmatrix import (PLAIN, STARRED, AlgebraElem, bideterminant,
                             quantum_det, quantum_minor_left,
                             quantum_minor_right, standard_bitableaux,
                             straighten, word_content)
-from qschur.tableaux import Partition, Tableau
+from qschur.tableaux import Partition, Tableau, inversions
 
 Q = LaurentPoly.q(1)
 QINV = LaurentPoly.q(-1)
@@ -69,6 +71,54 @@ def test_minor_row_column_swap_signs():
     base = quantum_minor_right([1, 2], [1, 2])
     swapped = quantum_minor_right([1, 2], [2, 1])
     assert swapped == base.scale(neg_q_power(1))
+
+
+# every index list of length at most 3 over 1..3, unsorted and repeated too
+INDEX_LISTS = [seq for length in range(4)
+               for seq in itertools.product(range(1, 4), repeat=length)]
+MINOR_CALLS = [(minor, rows, cols, qexp)
+               for minor in (quantum_minor_right, quantum_minor_left)
+               for rows in INDEX_LISTS for cols in INDEX_LISTS
+               if len(rows) == len(cols) for qexp in (1, -1)]
+
+
+def snapshot(elem):
+    return {w: dict(c.terms) for w, c in elem.terms.items()}
+
+
+def test_unsorted_and_repeated_indices_give_the_uncached_minor():
+    # a row swap gives -q^-1 and a column swap -q for right minors, the
+    # mirror for left ones (q -> q^-1 when qexp = -1); a repeat gives 0
+    for minor, rows, cols, qexp in MINOR_CALLS:
+        left = minor is quantum_minor_left
+        got = minor(list(rows), list(cols), qexp=qexp)
+        assert got is minor(rows, cols, qexp=qexp)
+        assert got == qm._quantum_minor.__wrapped__(list(rows), list(cols),
+                                                    qexp, left)
+        if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+            assert got.is_zero()
+            continue
+        row_exp = qexp if left else -qexp
+        sign = (LaurentPoly.q(row_exp, -1) ** inversions(list(rows))
+                * LaurentPoly.q(-row_exp, -1) ** inversions(list(cols)))
+        assert got == minor(sorted(rows), sorted(cols),
+                            qexp=qexp).scale(sign)
+
+
+def test_the_suites_leave_every_cached_minor_unchanged():
+    before = {}
+    for minor, rows, cols, qexp in MINOR_CALLS:
+        m = minor(rows, cols, qexp=qexp)
+        before[minor, rows, cols, qexp] = (m, snapshot(m))
+    cached = qm._quantum_minor.cache_info().currsize
+    for suite in ("laplace", "jacobi", "detk", "straightening-lemmas",
+                  "phi-iota"):
+        assert all(case["ok"] for case in cli.SUITES[suite]())
+    # the suites met no minor outside the snapshot
+    assert qm._quantum_minor.cache_info().currsize == cached
+    for (minor, rows, cols, qexp), (m, terms) in before.items():
+        assert minor(rows, cols, qexp=qexp) is m
+        assert snapshot(m) == terms
 
 
 def test_det_is_central():
