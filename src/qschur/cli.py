@@ -249,10 +249,9 @@ def _image_rank_modular(images, n):
             blocks.setdefault(contents.pop(), []).append(img)
     rank = 0
     for imgs in blocks.values():
-        cols = {}
-        rows = [[(cols.setdefault(w, len(cols)), c.eval_mod(tn.Q0, tn.P))
-                 for w, c in img.terms.items()] for img in imgs]
-        rank += tn.rank_mod(rows, len(cols), tn.P)
+        rank += tn.rank_mod(([(w, c.eval_mod(tn.Q0, tn.P))
+                              for w, c in img.terms.items()]
+                             for img in imgs), tn.P)
     return rank
 
 
@@ -269,9 +268,9 @@ def suite_kernel_y(points):
     q = tn.Q0 (_image_rank_modular), and the upper step holds because iota
     factors through the exact quotient.  When rank_p meets the quotient
     dim, that is the image rank.  Otherwise, or if a core is not killed,
-    the images are straightened (a unimodular change of basis, so the rank
-    is the same) and ranked exactly with an Echelon.  generators is the
-    number of sandwiched relations the quotient was built from.
+    the images are ranked exactly with an Echelon, in the same normal-word
+    coordinates.  generators is the number of sandwiched relations the
+    quotient was built from.
     """
     for p in points:
         n, r, s = p["n"], p["r"], p["s"]
@@ -288,7 +287,7 @@ def suite_kernel_y(points):
         if rank != dim:
             ech = Echelon()
             for img in images:
-                ech.insert(qm.straighten(img, n))
+                ech.insert(dict(img.terms))
             rank = ech.rank
         yield _case(killed and rank == dim, **p, generators=quot.generators,
                     image_rank=rank, quotient_dim=dim)
@@ -481,10 +480,8 @@ def suite_weight_projectors(points):
             1 if t == j else 0 for t in range(n))))
             for j in range(n)]
         extra += [tn.weight_projector(n, m, lam) for lam in comps]
-        block = tn.ordinary_weight_block(n)
-        d1 = tn.certified_image_dim(base, keys, hecke, block_key=block)
-        d2 = tn.certified_image_dim(base + extra, keys, hecke,
-                                    block_key=block)
+        d1 = tn.certified_image_dim(base, keys, hecke)
+        d2 = tn.certified_image_dim(base + extra, keys, hecke)
         yield _case(ok and d1 == d2, **p,
                     image_dim=d1, enlarged_image_dim=d2)
 

@@ -251,8 +251,7 @@ class Echelon:
     """
 
     def __init__(self):
-        self.pivots = {}   # pivot column -> row dict
-        self._order = []   # pivot columns in insertion order
+        self.pivots = {}   # pivot column -> row dict, in insertion order
 
     @property
     def rank(self):
@@ -283,15 +282,13 @@ class Echelon:
         pc = min(res, key=lambda c: (res[c].num_terms(), c))
         # back-reduce existing rows so the echelon stays fully reduced
         p = res[pc]
-        for c0 in self._order:
-            row = self.pivots[c0]
+        for c0, row in self.pivots.items():
             coeff = row.get(pc)
             if coeff is None:
                 continue
             self.pivots[c0] = _strip_content(accumulate(
                 {k: val * p for k, val in row.items()}, res.items(), -coeff))
         self.pivots[pc] = res
-        self._order.append(pc)
         return True
 
     def contains(self, v):

@@ -224,42 +224,21 @@ def det_frak(k, n):
 
 
 def check_detk(n, k):
-    """The three sandwich congruences around dfrak^(k) in bidegree (k+1, k+1).
+    """The relation cores around dfrak^(k) in bidegree (k+1, k+1).
 
-    For all i != j the sandwiches sum_l x_il dfrak^(k) x*_jl and
-    sum_l q^(2l) x_li dfrak^(k) x*_lj vanish in the quotient, and for all
-    i, j the diagonal sandwiches sum_l q^(2l-2i) x_li dfrak^(k) x*_li and
-    sum_l x_jl dfrak^(k) x*_jl are congruent to each other.
+    Each core of cross_relation_cores, with dfrak^(k) put between the
+    plain and the starred letter of every term, vanishes in the quotient:
+    for i != j, sum_l x_il dfrak^(k) x*_jl and sum_l q^(2l) x_li dfrak^(k)
+    x*_lj, and for all i, j, the diagonal sandwich sum_l q^(2l-2i) x_li
+    dfrak^(k) x*_li minus sum_l x_jl dfrak^(k) x*_jl.
     """
     d = det_frak(k, n)
     quot = quotient(n, k + 1, k + 1)
-
-    def sandwich_pair(row_side, i, j, weight_exp):
-        # index i on the plain letter, j on the starred one
-        terms = {}
-        for (pw, sw), c in d.terms.items():
-            for l in range(1, n + 1):
-                lp = (i, l) if row_side else (l, i)
-                ls = (j, l) if row_side else (l, j)
-                accumulate(terms, [(((lp,) + pw, sw + (ls,)),
-                                    LaurentPoly.q(weight_exp(l)))], c)
-        return terms
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if not quot.is_coset_zero(MixedElem(
-                    sandwich_pair(True, i, j, lambda l: 0))):
-                return False
-            if not quot.is_coset_zero(MixedElem(
-                    sandwich_pair(False, i, j, lambda l: 2 * l))):
-                return False
-    diag = [MixedElem(sandwich_pair(False, i, i, lambda l, i=i: 2 * l - 2 * i))
-            for i in range(1, n + 1)]
-    diag += [MixedElem(sandwich_pair(True, j, j, lambda l: 0))
-             for j in range(1, n + 1)]
-    return all(quot.is_coset_zero(diag[0] - other) for other in diag[1:])
+    return all(quot.is_coset_zero(MixedElem(accumulate({}, (
+        (((lp,) + pw, sw + (ls,)), a * c)
+        for ((lp,), (ls,)), a in core.terms.items()
+        for (pw, sw), c in d.terms.items()))))
+        for core in cross_relation_cores(n))
 
 
 def starred_bideterminant(t, t2):
@@ -405,7 +384,7 @@ def rational_basis(n, r, s):
 # -- c exponents, phi and rational straightening -------------------------
 
 @functools.cache
-def c_exponent(rt, rt2, k, n, r, s):
+def c_exponent(rt, rt2, k, n, s):
     """The exponent c with iota(rational bidet) = (-q)^c (t|t').
 
     (t|t') is the bideterminant of the images of rt and rt2 under the
@@ -446,7 +425,7 @@ def _to_rational(expansion, n, r, s):
         rt = _ordinary_to_rational(t, n, s)
         rt2 = _ordinary_to_rational(t2, n, s)
         k = r - rt.left.size()
-        c = c_exponent(rt, rt2, k, n, r, s)
+        c = c_exponent(rt, rt2, k, n, s)
         out[(k, rt, rt2)] = coeff * neg_q_power(-c)
     return out
 

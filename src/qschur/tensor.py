@@ -15,9 +15,11 @@ Quantum-group actions are built recursively from the coproduct on the
 closed operator families K^a e^(k) and f^(k) K^a, with the dual-factor
 action derived mechanically from the antipode.
 
-The modular bounds specialize q = Q0 mod P by default, and each rank mod
-p of sparse rows (the commutant equations here, kernel-Y's iota images in
-the CLI) is one call to rank_mod.
+The commutant equations split into pairs of blocks that the generators
+find themselves: the connected components of their supports.  The modular
+bounds specialize q = Q0 mod P by default, and each rank mod p of sparse
+rows (the commutant equations here, kernel-Y's iota images in the CLI) is
+one call to rank_mod.
 """
 
 from __future__ import annotations
@@ -326,30 +328,33 @@ def weight_projector(n, m, lam):
 
 # -- commutant and image-algebra dimensions -----------------------------------
 
-def _blocks(terms, keys, block_key):
+def _blocks(terms, keys):
     """Split the basis, and each generator's term dict, into blocks.
 
     terms holds one dict (source key, target key) -> coefficient per
-    generator, LaurentPoly or residues mod p.  Returns (block keys, [the
-    terms inside the block]) pairs.  With a block_key every generator must
-    preserve each block; the commutant's unknown then splits into maps
-    between ordered block pairs, which are solved separately.
+    generator, LaurentPoly or residues mod p.  The blocks are the connected
+    components of the graph on keys with an edge src - tgt for each term,
+    found by union-find: the finest partition with no generator entry
+    between two blocks.  The commutant's unknown then splits into maps
+    between ordered block pairs, which are solved separately.  Returns
+    (block keys, [the terms inside the block]) pairs.
     """
-    keys = list(keys)
-    if not block_key:
-        return [(keys, terms)]
+    parent = {k: k for k in keys}
+
+    def root(k):
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for t in terms:
+        for src, tgt in t:
+            parent[root(src)] = root(tgt)
     blocks = {}
-    for k in keys:
-        b = block_key(k)
-        if b not in blocks:
-            blocks[b] = ([], [{} for _ in terms])
-        blocks[b][0].append(k)
+    for k in parent:
+        blocks.setdefault(root(k), ([], [{} for _ in terms]))[0].append(k)
     for j, t in enumerate(terms):
         for (src, tgt), v in t.items():
-            b = block_key(src)
-            if block_key(tgt) != b:
-                raise ValueError("generators do not preserve the blocks")
-            blocks[b][1][j][(src, tgt)] = v
+            blocks[root(src)][1][j][(src, tgt)] = v
     return list(blocks.values())
 
 
@@ -374,14 +379,13 @@ def _commutant_rows(src, tgt):
         yield from rows.values()
 
 
-def commutant_dim(gens, keys, block_key=None):
+def commutant_dim(gens, keys):
     """Dimension of the joint commutant of gens on the given basis.
 
-    If block_key is given, every generator must preserve each block; the
-    unknown operator then decomposes into independent maps between ordered
-    block pairs, which are solved separately.
+    The unknown operator decomposes into independent maps between ordered
+    pairs of the blocks that gens preserve (_blocks), solved separately.
     """
-    blocks = _blocks([g.terms for g in gens], keys, block_key)
+    blocks = _blocks([g.terms for g in gens], keys)
     total = 0
     for src, tgt in itertools.product(blocks, repeat=2):
         ech = Echelon()
@@ -393,24 +397,20 @@ def commutant_dim(gens, keys, block_key=None):
     return total
 
 
-def commutant_dim_modular(gens, keys, block_key=None, q0=Q0, p=P):
+def commutant_dim_modular(gens, keys, q0=Q0, p=P):
     """Upper bound for commutant_dim: the same equations at q = q0 mod p.
 
     The commutant is the null space of the rows of _commutant_rows, and
     specializing q can only drop the rank of those rows, so the nullity
-    mod p (by rank_mod) is a certified upper bound for the exact dimension.
+    mod p (by rank_mod, one call per block pair) is a certified upper bound
+    for the exact dimension.
     """
     _check_modulus(q0, p)
     blocks = _blocks([{k: v.eval_mod(q0, p) for k, v in g.terms.items()}
-                      for g in gens], keys, block_key)
-    total = 0
-    for src, tgt in itertools.product(blocks, repeat=2):
-        nunk = len(src[0]) * len(tgt[0])
-        pos = {u: t for t, u in enumerate(itertools.product(src[0], tgt[0]))}
-        rows = ([(pos[u], v) for u, v in items]
-                for items in _commutant_rows(src, tgt))
-        total += nunk - rank_mod(rows, nunk, p)
-    return total
+                      for g in gens], keys)
+    return sum(len(src[0]) * len(tgt[0])
+               - rank_mod(_commutant_rows(src, tgt), p)
+               for src, tgt in itertools.product(blocks, repeat=2))
 
 
 def image_algebra_dim(gens, keys):
@@ -518,22 +518,25 @@ class _ModEchelon:
         return self._rows[new]
 
 
-def rank_mod(rows, width, p):
+def rank_mod(rows, p):
     """Rank over F_p of sparse rows: each an iterable of (column, residue)
-    pairs, columns in range(width), the residues of a repeated column
-    summed.  p must pass _check_modulus.  One _ModEchelon insert."""
+    pairs, the residues of a repeated column summed.  Columns are any
+    hashable keys; only those the rows use are indexed.  p must pass
+    _check_modulus.  One _ModEchelon insert."""
     import numpy
-    at, vals, nrows = [], [], 0
+    cols, at_row, at_col, vals, nrows = {}, [], [], [], 0
     for row in rows:
         for col, v in row:
-            at.append(nrows * width + col)
+            at_row.append(nrows)
+            at_col.append(cols.setdefault(col, len(cols)))
             vals.append(v)
         nrows += 1
-    flat = numpy.zeros(nrows * width, dtype=numpy.int64)
-    numpy.add.at(flat, numpy.array(at, dtype=numpy.int64),
+    mat = numpy.zeros((nrows, len(cols)), dtype=numpy.int64)
+    numpy.add.at(mat, (numpy.array(at_row, dtype=numpy.int64),
+                       numpy.array(at_col, dtype=numpy.int64)),
                  numpy.array(vals, dtype=numpy.int64))
-    ech = _ModEchelon(p, width)
-    ech.insert(flat.reshape(nrows, width))
+    ech = _ModEchelon(p, len(cols))
+    ech.insert(mat)
     return ech.rank
 
 
@@ -605,8 +608,7 @@ def image_algebra_dim_modular(gens, keys, q0=Q0, p=P):
     return total
 
 
-def _squeeze(gens, keys, commutant_gens, block_key=None, q0=Q0, p=P,
-             commuting=True):
+def _squeeze(gens, keys, commutant_gens, q0=Q0, p=P, commuting=True):
     """(commutant dim, image dim) by closure_p <= image <= commutant <=
     commutant_p.
 
@@ -618,16 +620,15 @@ def _squeeze(gens, keys, commutant_gens, block_key=None, q0=Q0, p=P,
     """
     lower = image_algebra_dim_modular(gens, keys, q0=q0, p=p)
     if commuting and lower == commutant_dim_modular(
-            commutant_gens, keys, block_key=block_key, q0=q0, p=p):
+            commutant_gens, keys, q0=q0, p=p):
         return lower, lower
-    cdim = commutant_dim(commutant_gens, keys, block_key=block_key)
+    cdim = commutant_dim(commutant_gens, keys)
     if commuting and lower == cdim:
         return cdim, lower
     return cdim, image_algebra_dim(gens, keys)
 
 
-def certified_image_dim(gens, keys, commutant_gens, block_key=None,
-                        q0=Q0, p=P):
+def certified_image_dim(gens, keys, commutant_gens, q0=Q0, p=P):
     """Exact dimension of the unital algebra A generated by gens.
 
     Certified squeeze closure_p <= dim A <= commutant <= commutant_p.
@@ -644,12 +645,7 @@ def certified_image_dim(gens, keys, commutant_gens, block_key=None,
             if not g.commutes_with(w):
                 raise ValueError("generators do not commute with the "
                                  "proposed commutant generators")
-    return _squeeze(gens, keys, commutant_gens, block_key, q0, p)[1]
-
-
-def ordinary_weight_block(n):
-    """Block key on plain tensor space: the weight (Hecke-invariant)."""
-    return lambda key: weight(key, n)
+    return _squeeze(gens, keys, commutant_gens, q0, p)[1]
 
 
 def pi_restrict(phi, n, r, s):
@@ -678,15 +674,6 @@ def pi_restrict(phi, n, r, s):
 
 # -- the end-to-end verification ----------------------------------------------
 
-def mixed_weight_block(n, r, s):
-    """Block key: the difference of plain and dual weights (walled-invariant)."""
-    def block(key):
-        wp = weight(key[:r], n)
-        wd = weight(key[r:], n)
-        return tuple(a - b for a, b in zip(wp, wd))
-    return block
-
-
 def verify_schur_weyl(n, r, s):
     """Compare the four dimension computations on the mixed space.
 
@@ -712,8 +699,7 @@ def verify_schur_weyl(n, r, s):
     walled = ([E] if E is not None else []) + S + Shat
     ugens = [ugen_mixed(n, r, s, g) for g in uprime_generators(n, r + s)]
     commuting = all(u.commutes_with(w) for u in ugens for w in walled)
-    cdim, idim = _squeeze(ugens, keys, walled, mixed_weight_block(n, r, s),
-                          commuting=commuting)
+    cdim, idim = _squeeze(ugens, keys, walled, commuting=commuting)
     count = len(standard_rational_bitableaux(n, r, s))
     qdim = quotient(n, r, s).dimension()
     ok = commuting and cdim == idim == count == qdim

@@ -56,8 +56,7 @@ def test_criterion_02_ordinary_dimensions():
             hecke = [tn.hecke_generator(n, m, i) for i in range(1, m)]
             gens = [tn.ugen_ordinary(n, m, g)
                     for g in tn.uprime_generators(n, m)]
-            dim = tn.certified_image_dim(gens, keys, hecke,
-                                         block_key=tn.ordinary_weight_block(n))
+            dim = tn.certified_image_dim(gens, keys, hecke)
             if dim != expected:
                 ok = False
     _report(2, "ordinary basis count = rank = image dimension", ok)
@@ -81,7 +80,7 @@ def test_criterion_05_basis_image_and_inverse():
                 if r + s == 0:
                     continue
                 for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
-                    c = mx.c_exponent(rt, rt2, k, n, r, s)
+                    c = mx.c_exponent(rt, rt2, k, n, s)
                     if not isinstance(c, int):
                         ok = False
     _report(5, "iota sends basis elements to signed q-power multiples "

@@ -104,7 +104,7 @@ def reduce_over_all_pivots(ech, v):
     """The residual of the former Echelon.reduce loop, which visits every
     pivot in order."""
     v = {k: val for k, val in v.items() if not val.is_zero()}
-    for c in ech._order:
+    for c in ech.pivots:
         coeff = v.get(c)
         if coeff is None:
             continue

@@ -10,15 +10,14 @@ import pytest
 
 from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_factorial,
                             quantum_integer)
-from qschur.linalg import accumulate, mat_nullspace
+from qschur.linalg import Echelon, accumulate, mat_nullspace
 from qschur.tableaux import all_perms, weight
 from qschur import tensor
 from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
                            commutant_dim, commutant_dim_modular,
                            hecke_generator, hecke_word, image_algebra_dim,
                            image_algebra_dim_modular, k_vector, kappa,
-                           kappa_mixed, mixed_basis, mixed_weight_block,
-                           ordinary_basis, ordinary_weight_block,
+                           kappa_mixed, mixed_basis, ordinary_basis,
                            pi_restrict, rank_mod, ugen_mixed, ugen_on_kinds,
                            ugen_ordinary, uprime_generators,
                            verify_schur_weyl, walled_generators, weight_le,
@@ -193,9 +192,6 @@ def test_commutant_trivial_cases():
 def test_commutant_E_anchor():
     E, _, _ = walled_generators(2, 1, 1)
     assert commutant_dim([E], mixed_basis(2, 1, 1)) == 10
-    # blocking by the conserved weight difference gives the same answer
-    assert commutant_dim([E], mixed_basis(2, 1, 1),
-                         block_key=mixed_weight_block(2, 1, 1)) == 10
 
 
 def test_commutant_basis_members_commute():
@@ -237,8 +233,7 @@ def test_certified_image_dim_ordinary():
         keys = ordinary_basis(n, m)
         hecke = [hecke_generator(n, m, i) for i in range(1, m)]
         gens = [ugen_ordinary(n, m, g) for g in uprime_generators(n, m)]
-        dim = certified_image_dim(gens, keys, hecke,
-                                  block_key=ordinary_weight_block(n))
+        dim = certified_image_dim(gens, keys, hecke)
         assert dim == comb(n * n + m - 1, m)
 
 
@@ -312,18 +307,21 @@ def test_rank_mod_matches_gaussian_elimination(p, seed):
     # a row summing two earlier rows, so the rank falls short
     rows.append(rows[0] + rows[1])
     want = rank_mod_reference(rows, width, p)
-    assert rank_mod(rows, width, p) == want
-    assert rank_mod(iter(rows), width, p) == want
+    assert rank_mod(rows, p) == want
+    assert rank_mod(iter(rows), p) == want
 
 
 def test_rank_mod_edge_cases():
-    assert rank_mod([], 3, P) == 0
-    assert rank_mod([[], []], 0, P) == 0
-    assert rank_mod([[(0, 1), (0, P - 1)]], 1, P) == 0
+    assert rank_mod([], P) == 0
+    assert rank_mod([[], []], P) == 0
+    assert rank_mod([[(0, 1), (0, P - 1)]], P) == 0
     # residues of a repeated column add up before the rank is taken
-    assert rank_mod([[(0, 2), (0, 3)], [(0, 5)]], 1, 7) == 1
-    assert rank_mod([[(1, 3)], [(0, 1), (1, 1)], [(0, 1)]], 2, 3037000493) \
+    assert rank_mod([[(0, 2), (0, 3)], [(0, 5)]], 7) == 1
+    assert rank_mod([[(1, 3)], [(0, 1), (1, 1)], [(0, 1)]], 3037000493) \
         == 2
+    # columns are any hashable keys, and an unused one is no column
+    assert rank_mod([[("a", 1)], [(("b", 9), 2), ("a", 3)]], 7) == 2
+    assert rank_mod([[(10 ** 9, 1)], [(10 ** 9, 2)]], 7) == 1
 
 
 # -- the block closure and the modular commutant bound -----------------------
@@ -419,16 +417,93 @@ def test_block_closure_matches_full_closure(n, r, s, q0, p):
         full_closure_modular(ugens, keys, q0, p)
 
 
+def unblocked_commutant_dim(gens, keys, q0=None, p=None):
+    """Nullity of the equations X g = g X over one block of all keys (test
+    oracle): exact by an Echelon, or at q = q0 mod p by dense elimination."""
+    keys = list(keys)
+    pos = {u: t for t, u in enumerate(itertools.product(keys, keys))}
+    rows = []
+    for g in gens:
+        eqs = {}
+        for (b, c), v in g.terms.items():
+            for a in keys:
+                eqs.setdefault((a, c), []).append((pos[a, b], v))
+        for (a, b), v in g.terms.items():
+            for c in keys:
+                eqs.setdefault((a, c), []).append((pos[b, c], -v))
+        rows += eqs.values()
+    if p is not None:
+        return len(pos) - rank_mod_reference(
+            [[(u, v.eval_mod(q0, p)) for u, v in row] for row in rows],
+            len(pos), p)
+    ech = Echelon()
+    for row in rows:
+        ech.insert(accumulate({}, row))
+    return len(pos) - ech.rank
+
+
+def random_generators(rng, keys, count, n):
+    """count sparse maps on keys with small Laurent entries; an entry
+    stays inside a weight class, or with odds 1/5 may join two classes."""
+    gens = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randrange(1, 7)):
+            src = rng.choice(keys)
+            tgt = rng.choice(keys if rng.random() < 0.2 else
+                             [k for k in keys
+                              if weight(k, n) == weight(src, n)])
+            terms[src, tgt] = LaurentPoly.q(rng.randrange(-2, 3),
+                                            rng.choice((-2, -1, 1, 3)))
+        gens.append(Endo(terms))
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_commutant_dims_match_the_unblocked_nullity(seed):
+    rng = random.Random(seed)
+    keys = ordinary_basis(2, 3)
+    gens = random_generators(rng, keys, seed % 4, 2)
+    if seed % 2:
+        # an entry between the weight classes (3, 0) and (2, 1)
+        gens.append(Endo({((1, 1, 1), (1, 1, 2)): Q + ONE}))
+    exact = unblocked_commutant_dim(gens, keys)
+    assert commutant_dim(gens, keys) == exact
+    for q0, p in SPECIALIZATIONS:
+        assert commutant_dim_modular(gens, keys, q0=q0, p=p) == \
+            unblocked_commutant_dim(gens, keys, q0, p) >= exact
+
+
+@pytest.mark.parametrize("n, r, s", SUITE_POINTS + BENCH_POINTS)
+def test_walled_blocks_are_the_weight_difference_classes(n, r, s):
+    keys, walled, _ = mixed_point(n, r, s)
+    classes = {}
+    for k in keys:
+        diff = tuple(a - b for a, b in zip(weight(k[:r], n),
+                                           weight(k[r:], n)))
+        classes.setdefault(diff, []).append(k)
+    blocks = tensor._blocks([g.terms for g in walled], keys)
+    assert sorted(b for b, _ in blocks) == sorted(classes.values())
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+def test_hecke_blocks_are_the_weight_classes(n, m):
+    keys, hecke, _ = ordinary_point(n, m)
+    classes = {}
+    for k in keys:
+        classes.setdefault(weight(k, n), []).append(k)
+    blocks = tensor._blocks([g.terms for g in hecke], keys)
+    assert sorted(b for b, _ in blocks) == sorted(classes.values())
+
+
 @pytest.mark.parametrize("n, r, s", SUITE_POINTS)
 def test_modular_commutant_bounds_the_exact_commutant(n, r, s):
     keys, walled, _ = mixed_point(n, r, s)
-    block = mixed_weight_block(n, r, s)
-    exact = commutant_dim(walled, keys, block_key=block)
-    assert commutant_dim_modular(walled, keys, block_key=block) == exact
+    exact = unblocked_commutant_dim(walled, keys)
+    assert commutant_dim(walled, keys) == exact
     assert commutant_dim_modular(walled, keys) == exact
     for q0, p in SPECIALIZATIONS[1:]:
-        assert commutant_dim_modular(walled, keys, block_key=block,
-                                     q0=q0, p=p) >= exact
+        assert commutant_dim_modular(walled, keys, q0=q0, p=p) >= exact
 
 
 def test_the_bounds_are_one_sided_at_a_degenerate_q0():
@@ -448,8 +523,7 @@ def test_the_bounds_are_one_sided_at_a_degenerate_q0():
 def test_fallback_when_the_modular_bounds_differ(monkeypatch):
     want = {pt: verify_schur_weyl(*pt) for pt in [(2, 1, 1), (2, 2, 1)]}
     keys, hecke, gens = ordinary_point(2, 3)
-    want_image = certified_image_dim(gens, keys, hecke,
-                                     block_key=ordinary_weight_block(2))
+    want_image = certified_image_dim(gens, keys, hecke)
     real = tensor.commutant_dim_modular
     monkeypatch.setattr(tensor, "commutant_dim_modular",
                         lambda *a, **k: real(*a, **k) + 1)
@@ -458,9 +532,7 @@ def test_fallback_when_the_modular_bounds_differ(monkeypatch):
         assert got["ok"]
         got.pop("elapsed_ms"), rep.pop("elapsed_ms")
         assert got == rep
-    assert certified_image_dim(gens, keys, hecke,
-                               block_key=ordinary_weight_block(2)) == \
-        want_image
+    assert certified_image_dim(gens, keys, hecke) == want_image
 
 
 @pytest.mark.parametrize("q0, p", [
