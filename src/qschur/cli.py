@@ -103,11 +103,33 @@ SUITES = {}
 def _suite(name, keep=lambda p: True):
     """Register the case generator as suite name.  The suite takes points
     (by default POINTS[name]), drops those its guard keep rejects, and
-    returns the list of cases the generator yields for the rest."""
+    returns the list of cases the generator yields for the rest.
+
+    A certificate that fails by raising AssertionError fails the point the
+    generator was drawing cases from: the point gets a case with ok false
+    and the message as error, and the generator starts again on the points
+    after it."""
     def register(gen):
         @functools.wraps(gen)
         def suite(points=POINTS[name]):
-            return list(gen([p for p in points if keep(p)]))
+            rest = iter([p for p in points if keep(p)])
+            point, cases = None, []
+
+            def feed():
+                nonlocal point
+                for point in rest:
+                    yield point
+                point = None
+
+            while True:
+                try:
+                    cases.extend(gen(feed()))
+                    return cases
+                except AssertionError as exc:
+                    if point is None:   # raised before or after the points
+                        raise
+                    cases.append(_case(False, **point, error=str(exc)))
+                    point = None
         SUITES[name] = suite
         return suite
     return register
@@ -300,16 +322,13 @@ def suite_jacobi(points):
         n = p["n"]
         idx = list(range(1, n + 1))
         checked = 0
-        ok = True
         for l in range(0, n + 1):
             for rows in itertools.combinations(idx, l):
                 for cols in itertools.combinations(idx, l):
-                    try:
-                        mx.jacobi_check(list(rows), list(cols), n)
-                    except AssertionError:
-                        ok = False
+                    # a failed identity raises AssertionError
+                    mx.jacobi_check(list(rows), list(cols), n)
                     checked += 1
-        yield _case(ok, **p, minors=checked)
+        yield _case(True, **p, minors=checked)
 
 
 @_suite("detk")
@@ -399,16 +418,13 @@ def suite_rational_basis(points):
         n, r, s = p["n"], p["r"], p["s"]
         basis = mx.rational_basis(n, r, s)
         dim = mx.quotient(n, r, s).dimension()
-        ok = len(basis.index) == dim
         words = mx.quotient(n, r, s).words[:sample_cap]
         for word in words:
-            elem = mx.MixedElem({word: ONE}, normalized=True)
-            try:
-                mx.rational_straighten(elem, n, r, s)
-            except AssertionError:
-                ok = False
-                break
-        yield _case(ok, **p, basis_size=dim, expansions=len(words))
+            # an expansion leaving the basis raises AssertionError
+            mx.rational_straighten(mx.MixedElem({word: ONE}, normalized=True),
+                                   n, r, s)
+        yield _case(len(basis.index) == dim, **p, basis_size=dim,
+                    expansions=len(words))
 
 
 @_suite("phi-iota", keep=lambda p: p["r"] + p["s"] > 0)

@@ -5,7 +5,10 @@ Three engines are provided:
 * :class:`Echelon` -- incremental fraction-free row reduction with
   Laurent-polynomial rows, used for ranks, nullities and coset zero tests
   (no polynomial division ever happens during elimination).  Its one
-  reduction, :meth:`Echelon.reduce`, returns a Laurent residual.
+  reduction, :meth:`Echelon.reduce`, returns a Laurent residual.  An
+  insert back-reduces only the rows that hold its pivot column, found
+  through a column index, so a span that splits into blocks over
+  disjoint columns needs no split by the caller.
 * :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
   with combination tracking, for spanning sets whose transition matrix is
   unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
@@ -247,11 +250,14 @@ class Echelon:
     reduced: no row has an entry in another row's pivot column, so a single
     forward pass reduces any vector.  The residual of v is a nonzero
     scalar multiple of its canonical coset representative, so it is empty
-    exactly when v lies in the span.
+    exactly when v lies in the span.  A column index lets an insert touch
+    only the rows that hold its new pivot column, so rows over disjoint
+    columns (a block-diagonal span) cost nothing to one another.
     """
 
     def __init__(self):
         self.pivots = {}   # pivot column -> row dict, in insertion order
+        self._holders = {}  # non-pivot column -> pivot columns of its rows
 
     @property
     def rank(self):
@@ -280,14 +286,25 @@ class Echelon:
             return False
         # pivot with the fewest terms to limit expression swell
         pc = min(res, key=lambda c: (res[c].num_terms(), c))
-        # back-reduce existing rows so the echelon stays fully reduced
+        # back-reduce the rows holding pc so the echelon stays fully
+        # reduced; each is rebuilt from itself and res alone, so the order
+        # is immaterial.  A row keeps its columns outside res (times p != 0),
+        # so only the columns of res can enter or leave it.
         p = res[pc]
-        for c0, row in self.pivots.items():
-            coeff = row.get(pc)
-            if coeff is None:
-                continue
-            self.pivots[c0] = _strip_content(accumulate(
-                {k: val * p for k, val in row.items()}, res.items(), -coeff))
+        cols = [c for c in res if c != pc]
+        holders = self._holders
+        for c0 in holders.pop(pc, ()):
+            row = self.pivots[c0]
+            new = _strip_content(accumulate(
+                {k: val * p for k, val in row.items()}, res.items(), -row[pc]))
+            for c in cols:
+                if c in new:
+                    holders.setdefault(c, set()).add(c0)
+                elif c in row:
+                    holders[c].discard(c0)
+            self.pivots[c0] = new
+        for c in cols:
+            holders.setdefault(c, set()).add(pc)
         self.pivots[pc] = res
         return True
 

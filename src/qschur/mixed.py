@@ -147,25 +147,10 @@ def cross_relation_generators(n, r, s):
             if not g.is_zero()]
 
 
-def _grade(word, n):
-    """(row, column) content difference between the halves; Y-invariant."""
-    row = [0] * n
-    col = [0] * n
-    pw, sw = word
-    for i, j in pw:
-        row[i - 1] += 1
-        col[j - 1] += 1
-    for i, j in sw:
-        row[i - 1] -= 1
-        col[j - 1] -= 1
-    return tuple(row), tuple(col)
-
-
 class MixedQuotient:
     """The bidegree-(r, s) component modulo the relation span Y.
 
-    The relation span decomposes along the content-difference grading, so
-    it is echelonized blockwise; rank and zero tests use residual().
+    One fraction-free Echelon holds Y; rank and zero tests use residual().
     generators counts the nonzero sandwiched relations the build inserted.
     """
 
@@ -173,33 +158,22 @@ class MixedQuotient:
         self.n, self.r, self.s = n, r, s
         self.words = [(pw, sw) for pw in monomial_basis(n, r)
                       for sw in monomial_basis(n, s)]
-        self.blocks = {}
+        self.echelon = Echelon()
         self.generators = 0
         for g in cross_relation_generators(n, r, s):
             self.generators += 1
-            grades = {_grade(w, n) for w in g.terms}
-            if len(grades) != 1:
-                raise AssertionError("relation generator is not graded")
-            ech = self.blocks.setdefault(grades.pop(), Echelon())
-            ech.insert(dict(g.terms))
+            self.echelon.insert(g.terms)
 
     def dimension(self):
-        return len(self.words) - sum(e.rank for e in self.blocks.values())
+        return len(self.words) - self.echelon.rank
 
     def residual(self, a):
-        """The per-grade Echelon residuals of a, concatenated (Laurent).
+        """The Echelon residual of a modulo Y (Laurent entries).
 
-        On each grade it is a nonzero scalar times the canonical coset
-        representative, so ranks of grade-homogeneous rows, and membership
-        in their (graded) span, agree with those of the cosets."""
-        parts = {}
-        for w, c in a.terms.items():
-            parts.setdefault(_grade(w, self.n), {})[w] = c
-        out = {}
-        for grade, vec in parts.items():
-            # a grade without relations reduces against an empty echelon
-            out.update((self.blocks.get(grade) or Echelon()).reduce(vec))
-        return out
+        It is a nonzero scalar times the canonical coset representative of
+        a, so ranks of residuals, and membership in their span, agree with
+        those of the cosets."""
+        return self.echelon.reduce(a.terms)
 
     def is_coset_zero(self, a):
         return not self.residual(a)
@@ -360,8 +334,8 @@ class _RationalBasis:
     """The standard rational bideterminants, checked independent mod Y.
 
     An independent check of the basis theorem that does not use iota: the
-    quotient residuals of the bideterminants (each grade-homogeneous) have
-    full fraction-free Echelon rank.  index lists the (k, rt, rt2).
+    quotient residuals of the bideterminants have full fraction-free
+    Echelon rank.  index lists the (k, rt, rt2).
     """
 
     def __init__(self, n, r, s):
@@ -473,7 +447,6 @@ class DetIdealChecker:
         self.quot = quotient(n, r, s)
         self.ech = Echelon()
         for g in _sandwiches([det_frak(1, n)], n, r, s):
-            # g is grade-homogeneous: see MixedQuotient.residual
             self.ech.insert(self.quot.residual(g))
 
     def congruent_zero(self, a):

@@ -291,65 +291,6 @@ def weight(idx, n):
     return tuple(w)
 
 
-# -- permutations --------------------------------------------------------
-
-class Perm:
-    """A permutation of 1..m given by its image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError("not a permutation of 1..m")
-        self.images = images
-
-    @staticmethod
-    def identity(m):
-        return Perm(range(1, m + 1))
-
-    def __len__(self):
-        return len(self.images)
-
-    def __call__(self, i):
-        return self.images[i - 1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm{self.images}"
-
-    def length(self):
-        """Coxeter length = inversion count."""
-        return inversions(self.images)
-
-    def reduced_word(self):
-        """A fixed reduced word: repeatedly apply the smallest descent."""
-        im = list(self.images)
-        word = []
-        while True:
-            for i in range(len(im) - 1):
-                if im[i] > im[i + 1]:
-                    im[i], im[i + 1] = im[i + 1], im[i]
-                    word.append(i + 1)
-                    break
-            else:
-                break
-        word.reverse()
-        return word
-
-
-def all_perms(m):
-    """All permutations of 1..m, lexicographic by image tuple."""
-    return [Perm(p) for p in itertools.permutations(range(1, m + 1))]
-
-
 def inversions(seq):
     """Inversion count of an integer sequence."""
     return sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))

@@ -113,14 +113,6 @@ def hecke_generator(n, m, i):
     return Endo(_swap_action({}, ordinary_basis(n, m), i - 1, dual=False))
 
 
-def hecke_word(n, m, w):
-    """The product of generators along a reduced word of w."""
-    result = Endo.identity(ordinary_basis(n, m))
-    for i in w.reduced_word():
-        result = result.then(hecke_generator(n, m, i))
-    return result
-
-
 def walled_generators(n, r, s):
     """(E, [S_1..S_{r-1}], [Shat_1..Shat_{s-1}]) on the mixed space."""
     keys = mixed_basis(n, r, s)

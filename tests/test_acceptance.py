@@ -7,7 +7,6 @@ dimension agreement, the kernel and inverse of the embedding, the worked
 correspondences, every relation suite, and integrality of all expansions.
 """
 
-import itertools
 from math import comb
 
 from qschur import cli

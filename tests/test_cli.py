@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qschur import mixed as mx
+from qschur import qmatrix as qm
 from qschur.cli import main, suite_registry
 from qschur.laurent import ONE
 from qschur.mixed import (MixedElem, rational_bideterminant,
@@ -196,6 +198,62 @@ def test_a_restriction_may_leave_the_declared_values(capsys):
     assert [(c["n"], c["r"], c["s"]) for c in cases] == [(2, 3, 1), (2, 3, 2)]
     # the walled relations need r, s >= 1, as kappa needs s >= 1
     assert main(["verify", "walled-relations", "--r", "0"]) == 2
+
+
+def failed_certificate(capsys, name, *argv):
+    """verify name and centrality: exit 1, centrality still ok, and the
+    cases of name by their ok value."""
+    code, out = run(capsys, "verify", name, "centrality", *argv)
+    assert code == 1
+    report = json.loads(out)
+    suites = {rep["suite"]: rep for rep in report["suites"]}
+    assert not report["ok"] and not suites[name]["ok"]
+    assert suites["centrality"]["ok"]
+    cases = suites[name]["cases"]
+    return ([c for c in cases if c["ok"]], [c for c in cases if not c["ok"]])
+
+
+def test_a_dependent_rational_basis_fails_its_points(monkeypatch, capsys):
+    def dependent(n, r, s):
+        raise AssertionError("standard rational bideterminants must be "
+                             "independent")
+    monkeypatch.setattr(mx, "rational_basis", dependent)
+    passed, failed = failed_certificate(capsys, "rational-basis",
+                                        "--n", "2", "--r", "1")
+    assert not passed
+    assert [(c["r"], c["s"]) for c in failed] == [(1, 0), (1, 1), (1, 2)]
+    assert all(c["error"] == "standard rational bideterminants must be "
+               "independent" for c in failed)
+
+
+def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
+    real = mx.c_exponent
+
+    def c_exponent(rt, rt2, k, n, s):
+        if s == 1:
+            raise AssertionError("iota image is not a power of -q times "
+                                 "the bideterminant")
+        return real(rt, rt2, k, n, s)
+    monkeypatch.setattr(mx, "c_exponent", c_exponent)
+    passed, failed = failed_certificate(capsys, "phi-iota", "--n", "2")
+    # the points after a failed one still run
+    assert [(c["r"], c["s"]) for c in passed] == \
+        [(0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
+    assert all("basis_elements" in c for c in passed)
+    assert [(c["r"], c["s"], c["error"]) for c in failed] == [
+        (r, 1, "iota image is not a power of -q times the bideterminant")
+        for r in (0, 1, 2)]
+
+
+def test_an_inhomogeneous_iota_image_fails_its_points(monkeypatch, capsys):
+    # every word its own content: an image of two words is inhomogeneous
+    monkeypatch.setattr(qm, "word_content", lambda word, n: word)
+    passed, failed = failed_certificate(capsys, "kernel-Y", "--n", "2",
+                                        "--s", "1")
+    # iota of a single starred letter at n = 2 is a single word
+    assert [(c["r"], c["s"]) for c in passed] == [(0, 1)]
+    assert [(c["r"], c["error"]) for c in failed] == [
+        (r, "iota image is not content-homogeneous") for r in (1, 2)]
 
 
 def test_unknown_suite_exits_2(capsys):

@@ -1,7 +1,5 @@
 """Exact linear algebra engines, cross-checked against sympy ranks."""
 
-import itertools
-
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -145,6 +143,51 @@ def test_echelon_residual_matches_reduce(rows, vecs):
         assert not set(res) & set(ech.pivots)
         assert ech.reduce(res) == res
         assert ech.contains(v) == (not res)
+
+
+class FullScanEchelon:
+    """The former Echelon.insert, which back-reduces by visiting every
+    pivot row, over reduce_over_all_pivots."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def insert(self, v):
+        res = reduce_over_all_pivots(self, v)
+        if not res:
+            return False
+        pc = min(res, key=lambda c: (res[c].num_terms(), c))
+        p = res[pc]
+        for c0, row in self.pivots.items():
+            coeff = row.get(pc)
+            if coeff is None:
+                continue
+            self.pivots[c0] = linalg._strip_content(accumulate(
+                {k: val * p for k, val in row.items()}, res.items(), -coeff))
+        self.pivots[pc] = res
+        return True
+
+
+# sparse rows with nonzero entries, so back-reductions chain
+sparse_rows = st.dictionaries(st.integers(0, 4),
+                              laurents.filter(lambda p: not p.is_zero()),
+                              min_size=1, max_size=3)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), sparse_rows), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_echelon_insert_matches_the_full_scan(rows):
+    """Block-diagonal rows (block b owns the columns (b, j)): after every
+    insert the pivot rows, and their order, are those of the full scan,
+    and the rows of the other blocks are the same objects as before."""
+    ech, oracle = Echelon(), FullScanEchelon()
+    for b, row in rows:
+        row = {(b, j): v for j, v in row.items()}
+        before = dict(ech.pivots)
+        assert ech.insert(row) == oracle.insert(row)
+        assert list(ech.pivots.items()) == list(oracle.pivots.items())
+        assert all(ech.pivots[c] is r for c, r in before.items()
+                   if c[0] != b)
 
 
 def test_echelon_contains_span_members():

@@ -389,6 +389,50 @@ def test_quotient_residual_vanishes_with_the_raw_span():
     assert True in verdicts and False in verdicts
 
 
+def content_grade(word, n):
+    """(row, column) content difference between the halves; Y-invariant."""
+    row, col = [0] * n, [0] * n
+    pw, sw = word
+    for i, j in pw:
+        row[i - 1] += 1
+        col[j - 1] += 1
+    for i, j in sw:
+        row[i - 1] -= 1
+        col[j - 1] -= 1
+    return tuple(row), tuple(col)
+
+
+def per_grade_residual(n, r, s):
+    """The former MixedQuotient: one Echelon per content grade of the
+    relation generators, and residuals reduced grade by grade."""
+    blocks = {}
+    for g in cross_relation_generators(n, r, s):
+        (grade,) = {content_grade(w, n) for w in g.terms}
+        blocks.setdefault(grade, Echelon()).insert(g.terms)
+
+    def residual(a):
+        parts = {}
+        for w, c in a.terms.items():
+            parts.setdefault(content_grade(w, n), {})[w] = c
+        out = {}
+        for grade, vec in parts.items():
+            out.update(blocks.get(grade, Echelon()).reduce(vec))
+        return out
+    return sum(e.rank for e in blocks.values()), residual
+
+
+@pytest.mark.parametrize("n, r, s", [(2, 2, 2), (3, 2, 1), (3, 1, 2)])
+def test_quotient_matches_the_per_grade_build(n, r, s):
+    quot = quotient(n, r, s)
+    rank, residual = per_grade_residual(n, r, s)
+    assert quot.dimension() == len(quot.words) - rank
+    homogeneous = cross_relation_generators(n, r, s) + [
+        rational_bideterminant(rt, rt2, k, n)
+        for k, rt, rt2 in standard_rational_bitableaux(n, r, s)]
+    for a in homogeneous:
+        assert quot.residual(a) == residual(a)
+
+
 def test_straightening_shift_instances():
     for n in (2, 3):
         idx = list(range(1, n + 1))

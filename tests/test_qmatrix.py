@@ -2,13 +2,11 @@
 
 import itertools
 
-import pytest
-
 from qschur import cli
 from qschur import qmatrix as qm
 from qschur.laurent import LaurentPoly, ONE, neg_q_power
 from qschur.linalg import Echelon
-from qschur.qmatrix import (PLAIN, STARRED, AlgebraElem, bideterminant,
+from qschur.qmatrix import (STARRED, AlgebraElem, bideterminant,
                             laplace_expand, monomial_basis, multiply,
                             quantum_det, quantum_minor_left,
                             quantum_minor_right, standard_bitableaux,

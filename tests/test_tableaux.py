@@ -5,10 +5,9 @@ from math import comb
 
 import pytest
 
-from qschur.tableaux import (Partition, Perm, RationalTableau, Tableau,
-                             all_perms, content, enumerate_standard,
-                             enumerate_standard_rational, first_counts,
-                             inversions, is_standard, is_standard_rational,
+from qschur.tableaux import (Partition, RationalTableau, Tableau, content,
+                             enumerate_standard, enumerate_standard_rational,
+                             first_counts, is_standard, is_standard_rational,
                              multi_indices, ordinary_to_rational, partitions,
                              rational_to_ordinary, weight)
 
@@ -101,13 +100,3 @@ def test_multi_indices_and_weight():
     idx = multi_indices(2, 3)
     assert len(idx) == 8 and idx[0] == (1, 1, 1)
     assert weight((1, 2, 2), 3) == (1, 2, 0)
-
-
-def test_perm_reduced_words():
-    for w in all_perms(4):
-        word = w.reduced_word()
-        assert len(word) == w.length() == inversions(w.images)
-        im = list(range(1, 5))
-        for i in word:
-            im[i - 1], im[i] = im[i], im[i - 1]
-        assert Perm(im) == w
