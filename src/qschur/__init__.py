@@ -6,7 +6,7 @@ Modules:
 * :mod:`qschur.linalg`   -- exact sparse linear algebra over the Laurent
   ring; every computation of the package stays in Z[q, q^-1].
 * :mod:`qschur.tableaux` -- partitions, (rational) tableaux, the
-  rational/ordinary tableau correspondence, multi-indices, permutations.
+  rational/ordinary tableau correspondence, multi-indices.
 * :mod:`qschur.qmatrix`  -- the quantum matrix algebra, quantum minors,
   bideterminants, Laplace expansions, straightening with Laurent
   coefficients.

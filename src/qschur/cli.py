@@ -53,7 +53,7 @@ def _check_caps(args, need):
 
 
 # -- verification suites ----------------------------------------------------
-# Each suite runs over its points in order: dicts keyed by axis name (n, and
+# Each suite checks one point at a time: a dict keyed by axis name (n, and
 # r and s or m where it has them).  run_suite restricts POINTS by one rule.
 
 _N = [{"n": n} for n in (2, 3)]
@@ -74,7 +74,8 @@ POINTS = {
     "jacobi": _N,
     "detk": _N,
     "straightening-lemmas": _N,
-    "bijection": _NRS,
+    # the axis-free point {} is the worked large-parameter anchor
+    "bijection": _NRS + [{}],
     "rational-basis": _NRS,
     "phi-iota": _NRS,
     "bicommute": _NRS,
@@ -101,35 +102,27 @@ SUITES = {}
 
 
 def _suite(name, keep=lambda p: True):
-    """Register the case generator as suite name.  The suite takes points
-    (by default POINTS[name]), drops those its guard keep rejects, and
-    returns the list of cases the generator yields for the rest.
+    """Register gen, which yields the cases of one point, as suite name.
+    The suite takes points (by default POINTS[name]), drops those its guard
+    keep rejects, and returns the cases gen yields for the rest, in order.
 
-    A certificate that fails by raising AssertionError fails the point the
-    generator was drawing cases from: the point gets a case with ok false
-    and the message as error, and the generator starts again on the points
-    after it."""
+    A point whose check raises gets a case with ok false: a certificate
+    that fails by raising AssertionError gives its message as error, and
+    any other exception is reported as an internal fault.  The points after
+    it still run."""
     def register(gen):
         @functools.wraps(gen)
         def suite(points=POINTS[name]):
-            rest = iter([p for p in points if keep(p)])
-            point, cases = None, []
-
-            def feed():
-                nonlocal point
-                for point in rest:
-                    yield point
-                point = None
-
-            while True:
+            cases = []
+            for p in filter(keep, points):
                 try:
-                    cases.extend(gen(feed()))
-                    return cases
+                    cases.extend(gen(p))
                 except AssertionError as exc:
-                    if point is None:   # raised before or after the points
-                        raise
-                    cases.append(_case(False, **point, error=str(exc)))
-                    point = None
+                    cases.append(_case(False, **p, error=str(exc)))
+                except Exception as exc:
+                    error = f"internal fault: {type(exc).__name__}: {exc}"
+                    cases.append(_case(False, **p, error=error))
+            return cases
         SUITES[name] = suite
         return suite
     return register
@@ -141,63 +134,60 @@ def _case(ok, **info):
 
 
 @_suite("pbw")
-def suite_pbw(points):
+def suite_pbw(p):
     """Rewriting consistency: generator products associate in normal form."""
-    for p in points:
-        n = p["n"]
-        letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        for rewriter, tag in ((qm.PLAIN, "plain"), (qm.STARRED, "starred")):
-            ok = True
-            for a, b, c in itertools.product(letters, repeat=3):
-                ea = qm.AlgebraElem({(a,): ONE}, normalized=True)
-                eb = qm.AlgebraElem({(b,): ONE}, normalized=True)
-                ec = qm.AlgebraElem({(c,): ONE}, normalized=True)
-                lhs = qm.multiply(qm.multiply(ea, eb, rewriter), ec, rewriter)
-                rhs = qm.multiply(ea, qm.multiply(eb, ec, rewriter), rewriter)
-                if lhs != rhs:
-                    ok = False
-                    break
-            yield _case(ok, **p, rewriter=tag, triples=len(letters) ** 3)
+    n = p["n"]
+    letters = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for rewriter, tag in ((qm.PLAIN, "plain"), (qm.STARRED, "starred")):
+        ok = True
+        for a, b, c in itertools.product(letters, repeat=3):
+            ea = qm.AlgebraElem({(a,): ONE}, normalized=True)
+            eb = qm.AlgebraElem({(b,): ONE}, normalized=True)
+            ec = qm.AlgebraElem({(c,): ONE}, normalized=True)
+            lhs = qm.multiply(qm.multiply(ea, eb, rewriter), ec, rewriter)
+            rhs = qm.multiply(ea, qm.multiply(eb, ec, rewriter), rewriter)
+            if lhs != rhs:
+                ok = False
+                break
+        yield _case(ok, **p, rewriter=tag, triples=len(letters) ** 3)
 
 
 @_suite("laplace")
-def suite_laplace(points):
+def suite_laplace(p):
     """Both shuffle expansions reproduce the full minor."""
-    for p in points:
-        n = p["n"]
-        idx = list(range(1, n + 1))
-        checked = 0
-        ok = True
-        for k in range(1, n + 1):
-            for rows in itertools.combinations(idx, k):
-                for cols in itertools.combinations(idx, k):
-                    for l in range(1, k + 1):
-                        for form in (1, 2):
-                            minor = (qm.quantum_minor_left if form == 1
-                                     else qm.quantum_minor_right)
-                            total = {}
-                            for coeff, (r1, c1), (r2, c2) in \
-                                    qm.laplace_expand(list(rows), list(cols),
-                                                      l, form):
-                                accumulate(total, qm.multiply(
-                                    minor(r1, c1), minor(r2, c2)
-                                ).terms.items(), coeff)
-                            if total != minor(list(rows), list(cols)).terms:
-                                ok = False
-                            checked += 1
-        yield _case(ok, **p, expansions=checked)
+    n = p["n"]
+    idx = list(range(1, n + 1))
+    checked = 0
+    ok = True
+    for k in range(1, n + 1):
+        for rows in itertools.combinations(idx, k):
+            for cols in itertools.combinations(idx, k):
+                for l in range(1, k + 1):
+                    for form in (1, 2):
+                        minor = (qm.quantum_minor_left if form == 1
+                                 else qm.quantum_minor_right)
+                        total = {}
+                        for coeff, (r1, c1), (r2, c2) in \
+                                qm.laplace_expand(list(rows), list(cols),
+                                                  l, form):
+                            accumulate(total, qm.multiply(
+                                minor(r1, c1), minor(r2, c2)
+                            ).terms.items(), coeff)
+                        if total != minor(list(rows), list(cols)).terms:
+                            ok = False
+                        checked += 1
+    yield _case(ok, **p, expansions=checked)
 
 
 @_suite("centrality")
-def suite_centrality(points):
+def suite_centrality(p):
     """det_q commutes with every generator."""
-    for p in points:
-        n = p["n"]
-        det = qm.quantum_det(n)
-        ok = all(qm.multiply(det, qm.AlgebraElem.generator(i, j)) ==
-                 qm.multiply(qm.AlgebraElem.generator(i, j), det)
-                 for i in range(1, n + 1) for j in range(1, n + 1))
-        yield _case(ok, **p)
+    n = p["n"]
+    det = qm.quantum_det(n)
+    ok = all(qm.multiply(det, qm.AlgebraElem.generator(i, j)) ==
+             qm.multiply(qm.AlgebraElem.generator(i, j), det)
+             for i in range(1, n + 1) for j in range(1, n + 1))
+    yield _case(ok, **p)
 
 
 def _braid_ok(gens, ident):
@@ -217,41 +207,39 @@ def _braid_ok(gens, ident):
 
 
 @_suite("hecke-relations")
-def suite_hecke_relations(points):
+def suite_hecke_relations(p):
     """Quadratic, braid and distant commutation for S_i and Shat_j.
 
     A point with m is on the ordinary space, one with r and s on the mixed.
     """
-    for p in points:
-        n = p["n"]
-        if "m" in p:
-            m = p["m"]
-            ident = tn.Endo.identity(tn.ordinary_basis(n, m))
-            gens = [tn.hecke_generator(n, m, i) for i in range(1, m)]
-            yield _case(_braid_ok(gens, ident), **p, space="ordinary")
-            continue
-        r, s = p["r"], p["s"]
-        ident = tn.Endo.identity(tn.mixed_basis(n, r, s))
-        _, S, Shat = tn.walled_generators(n, r, s)
-        ok = _braid_ok(S, ident) and _braid_ok(Shat, ident) and \
-            all(a.commutes_with(b) for a in S for b in Shat)
-        yield _case(ok, **p, space="mixed")
+    n = p["n"]
+    if "m" in p:
+        m = p["m"]
+        ident = tn.Endo.identity(tn.ordinary_basis(n, m))
+        gens = [tn.hecke_generator(n, m, i) for i in range(1, m)]
+        yield _case(_braid_ok(gens, ident), **p, space="ordinary")
+        return
+    r, s = p["r"], p["s"]
+    ident = tn.Endo.identity(tn.mixed_basis(n, r, s))
+    _, S, Shat = tn.walled_generators(n, r, s)
+    ok = _braid_ok(S, ident) and _braid_ok(Shat, ident) and \
+        all(a.commutes_with(b) for a in S for b in Shat)
+    yield _case(ok, **p, space="mixed")
 
 
 @_suite("walled-relations", keep=lambda p: min(p["r"], p["s"]) > 0)
-def suite_walled_relations(points):
+def suite_walled_relations(p):
     """E^2 = [n]_q E and commutation of E with distant generators."""
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        E, S, Shat = tn.walled_generators(n, r, s)
-        ok = E.then(E) == E.scale(quantum_integer(n))
-        for i, g in enumerate(S, start=1):
-            if i <= r - 2 and not E.commutes_with(g):
-                ok = False
-        for j, g in enumerate(Shat, start=1):
-            if j >= 2 and not E.commutes_with(g):
-                ok = False
-        yield _case(ok, **p)
+    n, r, s = p["n"], p["r"], p["s"]
+    E, S, Shat = tn.walled_generators(n, r, s)
+    ok = E.then(E) == E.scale(quantum_integer(n))
+    for i, g in enumerate(S, start=1):
+        if i <= r - 2 and not E.commutes_with(g):
+            ok = False
+    for j, g in enumerate(Shat, start=1):
+        if j >= 2 and not E.commutes_with(g):
+            ok = False
+    yield _case(ok, **p)
 
 
 def _image_rank_modular(images, n):
@@ -278,7 +266,7 @@ def _image_rank_modular(images, n):
 
 
 @_suite("kernel-Y", keep=lambda p: p["r"] + p["s"] > 0)
-def suite_kernel_y(points):
+def suite_kernel_y(p):
     """iota kills the relation span Y and is injective on the quotient.
 
     killed: mx.iota(core) = 0 for each relation core, and iota of the
@@ -294,226 +282,207 @@ def suite_kernel_y(points):
     coordinates.  generators is the number of sandwiched relations the
     quotient was built from.
     """
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        quot = mx.quotient(n, r, s)
-        images = [mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
-                  for w in quot.words]
-        # Y is 0 unless r, s >= 1
-        killed = not quot.generators or (
-            mx.iota_respects_starred_relations(n) and all(
-                mx.iota(core, n).is_zero()
-                for core in mx.cross_relation_cores(n)))
-        dim = quot.dimension()
-        rank = _image_rank_modular(images, n) if killed else None
-        if rank != dim:
-            ech = Echelon()
-            for img in images:
-                ech.insert(dict(img.terms))
-            rank = ech.rank
-        yield _case(killed and rank == dim, **p, generators=quot.generators,
-                    image_rank=rank, quotient_dim=dim)
+    n, r, s = p["n"], p["r"], p["s"]
+    quot = mx.quotient(n, r, s)
+    images = [mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
+              for w in quot.words]
+    # Y is 0 unless r, s >= 1
+    killed = not quot.generators or (
+        mx.iota_respects_starred_relations(n) and all(
+            mx.iota(core, n).is_zero()
+            for core in mx.cross_relation_cores(n)))
+    dim = quot.dimension()
+    rank = _image_rank_modular(images, n) if killed else None
+    if rank != dim:
+        ech = Echelon()
+        for img in images:
+            ech.insert(dict(img.terms))
+        rank = ech.rank
+    yield _case(killed and rank == dim, **p, generators=quot.generators,
+                image_rank=rank, quotient_dim=dim)
 
 
 @_suite("jacobi")
-def suite_jacobi(points):
+def suite_jacobi(p):
     """The minor-complement identity for iota on every starred minor."""
-    for p in points:
-        n = p["n"]
-        idx = list(range(1, n + 1))
-        checked = 0
-        for l in range(0, n + 1):
-            for rows in itertools.combinations(idx, l):
-                for cols in itertools.combinations(idx, l):
-                    # a failed identity raises AssertionError
-                    mx.jacobi_check(list(rows), list(cols), n)
-                    checked += 1
-        yield _case(True, **p, minors=checked)
+    n = p["n"]
+    idx = list(range(1, n + 1))
+    checked = 0
+    for l in range(0, n + 1):
+        for rows in itertools.combinations(idx, l):
+            for cols in itertools.combinations(idx, l):
+                # a failed identity raises AssertionError
+                mx.jacobi_check(list(rows), list(cols), n)
+                checked += 1
+    yield _case(True, **p, minors=checked)
 
 
 @_suite("detk")
-def suite_detk(points):
+def suite_detk(p):
     """Sandwich congruences around dfrak^(k), and iota(dfrak^(k)) = det^k,
     at k = 1."""
     k = 1
-    for p in points:
-        n = p["n"]
-        img = mx.iota(mx.det_frak(k, n), n)
-        det_pow = qm.AlgebraElem.one()
-        for _ in range(k):
-            det_pow = qm.multiply(det_pow, qm.quantum_det(n))
-        ok = img == det_pow and mx.check_detk(n, k)
-        yield _case(ok, **p, k=k)
+    n = p["n"]
+    img = mx.iota(mx.det_frak(k, n), n)
+    det_pow = qm.AlgebraElem.one()
+    for _ in range(k):
+        det_pow = qm.multiply(det_pow, qm.quantum_det(n))
+    ok = img == det_pow and mx.check_detk(n, k)
+    yield _case(ok, **p, k=k)
 
 
 @_suite("straightening-lemmas")
-def suite_straightening_lemmas(points):
+def suite_straightening_lemmas(p):
     """Shift and vanishing congruences on exhaustive small instances, with
     minors of up to k_max = 2 rows."""
     k_max = 2
-    for p in points:
-        n = p["n"]
-        idx = list(range(1, n + 1))
-        shift_ok, shift_count = True, 0
-        for k in range(1, k_max + 1):
-            for r_vec in itertools.combinations(idx, k):
-                for s_vec in itertools.combinations(idx, k):
-                    for j in range(1, n):
-                        if not mx.check_straightening_shift(
-                                n, r_vec, s_vec, j, k):
-                            shift_ok = False
-                        shift_count += 1
-        van_ok, van_count = True, 0
-        for lr in range(1, k_max + 1):
-            for ls in range(1, k_max + 1):
-                for r_prime in itertools.combinations(idx, lr):
-                    for s_prime in itertools.combinations(idx, ls):
-                        try:
-                            mx.violating_instance_data(n, r_prime, s_prime)
-                        except ValueError:
-                            continue
-                        for r_vec in itertools.combinations(idx, lr):
-                            for s_vec in itertools.combinations(idx, ls):
-                                if not mx.check_straightening_vanishing(
-                                        n, r_prime, s_prime, r_vec, s_vec):
-                                    van_ok = False
-                                van_count += 1
-        yield _case(shift_ok and van_ok, **p,
-                    shift_instances=shift_count,
-                    vanishing_instances=van_count)
+    n = p["n"]
+    idx = list(range(1, n + 1))
+    shift_ok, shift_count = True, 0
+    for k in range(1, k_max + 1):
+        for r_vec in itertools.combinations(idx, k):
+            for s_vec in itertools.combinations(idx, k):
+                for j in range(1, n):
+                    if not mx.check_straightening_shift(n, r_vec, s_vec, j, k):
+                        shift_ok = False
+                    shift_count += 1
+    van_ok, van_count = True, 0
+    for lr in range(1, k_max + 1):
+        for ls in range(1, k_max + 1):
+            for r_prime in itertools.combinations(idx, lr):
+                for s_prime in itertools.combinations(idx, ls):
+                    try:
+                        mx.violating_instance_data(n, r_prime, s_prime)
+                    except ValueError:
+                        continue
+                    for r_vec in itertools.combinations(idx, lr):
+                        for s_vec in itertools.combinations(idx, ls):
+                            if not mx.check_straightening_vanishing(
+                                    n, r_prime, s_prime, r_vec, s_vec):
+                                van_ok = False
+                            van_count += 1
+    yield _case(shift_ok and van_ok, **p, shift_instances=shift_count,
+                vanishing_instances=van_count)
 
 
 @_suite("bijection")
-def suite_bijection(points):
-    """Rational/ordinary tableau correspondence round-trips, plus an anchor."""
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        count, ok = 0, True
-        for _, rt in tb.enumerate_standard_rational(n, r, s):
-            t = tb.rational_to_ordinary(rt, n, s)
-            if not tb.is_standard(t) or \
-                    tb.ordinary_to_rational(t, n, s) != rt:
-                ok = False
-            count += 1
-        yield _case(ok, **p, tableaux=count)
-    # worked large-parameter anchor
-    rt = tb.RationalTableau(
-        tb.Tableau(tb.Partition((2, 1)), ((1, 3), (2,))),
-        tb.Tableau(tb.Partition((2, 2)), ((3, 4), (3, 5))))
-    t = tb.rational_to_ordinary(rt, 5, 5)
-    expected = tb.Tableau(
-        tb.Partition((5, 5, 5, 3, 3, 2, 1)),
-        ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5),
-         (1, 2, 4), (1, 2, 5), (1, 3), (2,)))
-    yield _case(t == expected and tb.ordinary_to_rational(t, 5, 5) == rt,
-                n=5, r=4, s=5, anchor=True)
+def suite_bijection(p):
+    """Rational/ordinary tableau correspondence round-trips; the axis-free
+    point is a worked large-parameter anchor."""
+    if not p:
+        rt = tb.RationalTableau(
+            tb.Tableau(tb.Partition((2, 1)), ((1, 3), (2,))),
+            tb.Tableau(tb.Partition((2, 2)), ((3, 4), (3, 5))))
+        t = tb.rational_to_ordinary(rt, 5, 5)
+        expected = tb.Tableau(
+            tb.Partition((5, 5, 5, 3, 3, 2, 1)),
+            ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5),
+             (1, 2, 4), (1, 2, 5), (1, 3), (2,)))
+        yield _case(t == expected and tb.ordinary_to_rational(t, 5, 5) == rt,
+                    n=5, r=4, s=5, anchor=True)
+        return
+    n, r, s = p["n"], p["r"], p["s"]
+    count, ok = 0, True
+    for _, rt in tb.enumerate_standard_rational(n, r, s):
+        t = tb.rational_to_ordinary(rt, n, s)
+        if not tb.is_standard(t) or tb.ordinary_to_rational(t, n, s) != rt:
+            ok = False
+        count += 1
+    yield _case(ok, **p, tableaux=count)
 
 
 @_suite("rational-basis", keep=lambda p: p["r"] + p["s"] > 0)
-def suite_rational_basis(points):
+def suite_rational_basis(p):
     """Basis size equals the quotient dimension; expansions stay integral
     (checked on the first sample_cap = 60 quotient words)."""
     sample_cap = 60
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        basis = mx.rational_basis(n, r, s)
-        dim = mx.quotient(n, r, s).dimension()
-        words = mx.quotient(n, r, s).words[:sample_cap]
-        for word in words:
-            # an expansion leaving the basis raises AssertionError
-            mx.rational_straighten(mx.MixedElem({word: ONE}, normalized=True),
-                                   n, r, s)
-        yield _case(len(basis.index) == dim, **p, basis_size=dim,
-                    expansions=len(words))
+    n, r, s = p["n"], p["r"], p["s"]
+    basis = mx.rational_basis(n, r, s)
+    dim = mx.quotient(n, r, s).dimension()
+    words = mx.quotient(n, r, s).words[:sample_cap]
+    for word in words:
+        # an expansion leaving the basis raises AssertionError
+        mx.rational_straighten(mx.MixedElem({word: ONE}, normalized=True),
+                               n, r, s)
+    yield _case(len(basis.index) == dim, **p, basis_size=dim,
+                expansions=len(words))
 
 
 @_suite("phi-iota", keep=lambda p: p["r"] + p["s"] > 0)
-def suite_phi_iota(points):
+def suite_phi_iota(p):
     """phi inverts iota on every standard rational bideterminant."""
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        quot = mx.quotient(n, r, s)
-        count, ok = 0, True
-        for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
-            b = mx.rational_bideterminant(rt, rt2, k, n)
-            if not quot.is_coset_zero(mx.phi(mx.iota(b, n), n, r, s) - b):
-                ok = False
-            count += 1
-        yield _case(ok, **p, basis_elements=count)
+    n, r, s = p["n"], p["r"], p["s"]
+    quot = mx.quotient(n, r, s)
+    count, ok = 0, True
+    for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
+        b = mx.rational_bideterminant(rt, rt2, k, n)
+        if not quot.is_coset_zero(mx.phi(mx.iota(b, n), n, r, s) - b):
+            ok = False
+        count += 1
+    yield _case(ok, **p, basis_elements=count)
 
 
 @_suite("bicommute", keep=lambda p: p["r"] + p["s"] > 0)
-def suite_bicommute(points):
+def suite_bicommute(p):
     """Every quantum-group generator commutes with every walled generator."""
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        E, S, Shat = tn.walled_generators(n, r, s)
-        walled = ([E] if E is not None else []) + S + Shat
-        ok = True
-        for g in tn.uprime_generators(n, r + s):
-            u = tn.ugen_mixed(n, r, s, g)
-            if not all(u.commutes_with(w) for w in walled):
-                ok = False
-        yield _case(ok, **p, walled=len(walled))
+    n, r, s = p["n"], p["r"], p["s"]
+    E, S, Shat = tn.walled_generators(n, r, s)
+    walled = ([E] if E is not None else []) + S + Shat
+    ok = True
+    for g in tn.uprime_generators(n, r + s):
+        u = tn.ugen_mixed(n, r, s, g)
+        if not all(u.commutes_with(w) for w in walled):
+            ok = False
+    yield _case(ok, **p, walled=len(walled))
 
 
 @_suite("kappa-equivariance", keep=lambda p: p["s"] > 0)
-def suite_kappa_equivariance(points):
+def suite_kappa_equivariance(p):
     """The mixed-to-plain embedding intertwines the two actions."""
-    for p in points:
-        n, r, s = p["n"], p["r"], p["s"]
-        kap = tn.kappa_mixed(n, r, s)
-        m = r + (n - 1) * s
-        ok = all(kap.then(tn.ugen_ordinary(n, m, g)) ==
-                 tn.ugen_mixed(n, r, s, g).then(kap)
-                 for g in tn.uprime_generators(n, r + s))
-        yield _case(ok, **p)
+    n, r, s = p["n"], p["r"], p["s"]
+    kap = tn.kappa_mixed(n, r, s)
+    m = r + (n - 1) * s
+    ok = all(kap.then(tn.ugen_ordinary(n, m, g)) ==
+             tn.ugen_mixed(n, r, s, g).then(kap)
+             for g in tn.uprime_generators(n, r + s))
+    yield _case(ok, **p)
 
 
 @_suite("weight-projectors")
-def suite_weight_projectors(points):
+def suite_weight_projectors(p):
     """Projector scalars and image equality with the enlarged generator set."""
-    for p in points:
-        n, m = p["n"], p["m"]
-        comps = [c for c in itertools.product(range(m + 1), repeat=n)
-                 if sum(c) == m]
-        ok = True
-        for lam in comps:
-            u = tn.weight_projector(n, m, lam)
-            for key in tn.ordinary_basis(n, m):
-                wt = tb.weight(key, n)
-                c = u.terms.get((key, key), LaurentPoly.zero())
-                if wt == lam and c != ONE:
-                    ok = False
-                if wt != lam and tn.weight_le(wt, lam) and \
-                        not c.is_zero():
-                    ok = False
-        keys = tn.ordinary_basis(n, m)
-        hecke = [tn.hecke_generator(n, m, i) for i in range(1, m)]
-        base = [tn.ugen_ordinary(n, m, g)
-                for g in tn.uprime_generators(n, m)]
-        extra = [tn.ugen_ordinary(n, m, ("qh", tuple(
-            1 if t == j else 0 for t in range(n))))
-            for j in range(n)]
-        extra += [tn.weight_projector(n, m, lam) for lam in comps]
-        d1 = tn.certified_image_dim(base, keys, hecke)
-        d2 = tn.certified_image_dim(base + extra, keys, hecke)
-        yield _case(ok and d1 == d2, **p,
-                    image_dim=d1, enlarged_image_dim=d2)
+    n, m = p["n"], p["m"]
+    comps = [c for c in itertools.product(range(m + 1), repeat=n)
+             if sum(c) == m]
+    ok = True
+    for lam in comps:
+        u = tn.weight_projector(n, m, lam)
+        for key in tn.ordinary_basis(n, m):
+            wt = tb.weight(key, n)
+            c = u.terms.get((key, key), LaurentPoly.zero())
+            if wt == lam and c != ONE:
+                ok = False
+            if wt != lam and tn.weight_le(wt, lam) and not c.is_zero():
+                ok = False
+    keys = tn.ordinary_basis(n, m)
+    hecke = [tn.hecke_generator(n, m, i) for i in range(1, m)]
+    base = [tn.ugen_ordinary(n, m, g) for g in tn.uprime_generators(n, m)]
+    extra = [tn.ugen_ordinary(n, m, ("qh", tuple(
+        1 if t == j else 0 for t in range(n))))
+        for j in range(n)]
+    extra += [tn.weight_projector(n, m, lam) for lam in comps]
+    d1 = tn.certified_image_dim(base, keys, hecke)
+    d2 = tn.certified_image_dim(base + extra, keys, hecke)
+    yield _case(ok and d1 == d2, **p, image_dim=d1, enlarged_image_dim=d2)
 
 
 @_suite("schur-weyl")
-def suite_schur_weyl(points):
+def suite_schur_weyl(p):
     """Four-way dimension agreement on the mixed space."""
-    for p in points:
-        # the report carries n, r and s itself
-        rep = tn.verify_schur_weyl(p["n"], p["r"], p["s"])
-        rep.pop("elapsed_ms", None)
-        yield _case(rep.pop("ok"), **rep)
-
-
-def suite_registry():
-    return list(SUITES.keys())
+    # the report carries n, r and s itself
+    rep = tn.verify_schur_weyl(p["n"], p["r"], p["s"])
+    rep.pop("elapsed_ms", None)
+    yield _case(rep.pop("ok"), **rep)
 
 
 def run_suite(name, n=None, r=None, s=None, m=None):
@@ -642,7 +611,7 @@ def cmd_verify(args):
     if not names:
         raise ParamError("verify needs a suite name (or 'all')")
     if "all" in names:
-        names = suite_registry()
+        names = list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ParamError(f"unknown suite: {name}")
@@ -746,8 +715,6 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run named verification suites")
     p.add_argument("suite", nargs="*", help="suite names, or 'all'")
-    p.add_argument("--suite", action="append", dest="suite_flag",
-                   default=[], help="additional suite name")
     _add_common(p, m=True)
     p.set_defaults(func=cmd_verify)
 
@@ -762,8 +729,6 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if getattr(args, "suite_flag", None):
-        args.suite = list(args.suite) + list(args.suite_flag)
     try:
         code, report = args.func(args)
         _emit(report, args)

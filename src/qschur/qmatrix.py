@@ -22,7 +22,7 @@ import itertools
 
 from .laurent import LaurentPoly, ONE, neg_q_power
 from .linalg import SparseSum, UnitSolver, accumulate
-from .tableaux import content, enumerate_standard, partitions, inversions
+from .tableaux import enumerate_standard, partitions, inversions, weight
 
 
 class Rewriter:
@@ -283,7 +283,7 @@ def _standard_by_content(lam, n):
     """The standard tableaux of shape lam, grouped by content."""
     groups = {}
     for t in enumerate_standard(lam, n):
-        groups.setdefault(content(t, n), []).append(t)
+        groups.setdefault(weight(t.entries(), n), []).append(t)
     return groups
 
 

@@ -1,4 +1,4 @@
-"""Partitions, (rational) tableaux, multi-indices and permutations.
+"""Partitions, (rational) tableaux and multi-indices.
 
 Conventions used throughout the package:
 
@@ -123,14 +123,6 @@ def is_standard(t):
         if any(lower[c] < upper[c] for c in range(len(lower))):
             return False
     return True
-
-
-def content(t, n):
-    """Multiplicity vector of the entries 1..n."""
-    alpha = [0] * n
-    for x in t.entries():
-        alpha[x - 1] += 1
-    return tuple(alpha)
 
 
 def enumerate_standard(shape, n):

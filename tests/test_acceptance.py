@@ -93,7 +93,7 @@ def test_criterion_06_worked_bijection():
     ok = tb.is_standard_rational(rt, 5)
     t = tb.rational_to_ordinary(rt, 5, 5)
     ok = ok and t.shape.parts == (5, 5, 5, 3, 3, 2, 1)
-    ok = ok and tb.content(t, 5) == (6, 6, 4, 4, 4)
+    ok = ok and tb.weight(t.entries(), 5) == (6, 6, 4, 4, 4)
     ok = ok and tb.ordinary_to_rational(t, 5, 5) == rt
     ok = ok and _all_ok(cli.suite_bijection())
     _report(6, "rational/ordinary tableau correspondence round-trips", ok)

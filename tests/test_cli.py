@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qschur import mixed as mx
 from qschur import qmatrix as qm
-from qschur.cli import main, suite_registry
+from qschur import cli
+from qschur.cli import main
 from qschur.laurent import ONE
 from qschur.mixed import (MixedElem, rational_bideterminant,
                           standard_rational_bitableaux)
@@ -30,8 +31,7 @@ def run(capsys, *argv):
 
 
 def test_suite_registry():
-    assert suite_registry() == EXPECTED_SUITES
-    assert "schur-weyl" in suite_registry()
+    assert list(cli.SUITES) == EXPECTED_SUITES
 
 
 def test_tableaux_rational_count(capsys):
@@ -245,6 +245,22 @@ def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
         for r in (0, 1, 2)]
 
 
+def test_an_internal_fault_fails_its_point_only(monkeypatch, capsys):
+    # not bad input (exit 2): the fault fails its points, the rest still run
+    real = mx.c_exponent
+
+    def c_exponent(rt, rt2, k, n, s):
+        if s == 1:
+            raise KeyError("internal")
+        return real(rt, rt2, k, n, s)
+    monkeypatch.setattr(mx, "c_exponent", c_exponent)
+    passed, failed = failed_certificate(capsys, "phi-iota", "--n", "2")
+    assert [(c["r"], c["s"]) for c in passed] == \
+        [(0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
+    assert [(c["r"], c["s"], c["error"]) for c in failed] == [
+        (r, 1, "internal fault: KeyError: 'internal'") for r in (0, 1, 2)]
+
+
 def test_an_inhomogeneous_iota_image_fails_its_points(monkeypatch, capsys):
     # every word its own content: an image of two words is inhomogeneous
     monkeypatch.setattr(qm, "word_content", lambda word, n: word)
@@ -281,14 +297,12 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_repeated_main_calls_do_not_accumulate_suites(capsys):
-    # the parser is built once and reused; --suite values must not leak
-    # from one call into the next
-    for _ in range(2):
-        code, out = run(capsys, "verify", "--suite", "centrality",
-                        "--n", "2")
+    # the parser is built once and reused; the suite names of one call must
+    # not leak into the next
+    for name in ("centrality", "pbw", "centrality"):
+        code, out = run(capsys, "verify", name, "--n", "2")
         assert code == 0
-        assert [rep["suite"] for rep in json.loads(out)["suites"]] == \
-            ["centrality"]
+        assert [rep["suite"] for rep in json.loads(out)["suites"]] == [name]
 
 
 def test_csv_format(capsys):

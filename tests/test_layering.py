@@ -125,3 +125,46 @@ def test_the_fraction_check_sees_names_imports_and_coords():
         (5, "def coords"), (6, "coords()")]
     assert fraction_uses(source, "linalg") == [(5, "def coords"),
                                                (6, "coords()")]
+
+
+ROOT = PACKAGE.parents[1]
+SCANNED = sorted(path.relative_to(ROOT).as_posix()
+                 for folder in ("src", "tests", "demos")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def unused_imports(source):
+    """(line, name) of each name an import binds that the source neither
+    reads nor lists in __all__."""
+    tree = ast.parse(source)
+    bound, used = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, alias.asname or alias.name.split(".")[0])
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name)
+                      for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for line, name in bound if name not in used)
+
+
+@pytest.mark.parametrize("path", SCANNED)
+def test_every_import_is_used(path):
+    assert unused_imports((ROOT / path).read_text()) == []
+
+
+def test_the_import_check_sees_every_binding():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import json as js\n"
+              "from math import comb, gcd\n"
+              "from .tensor import rank_mod as rank\n"
+              "__all__ = ['gcd']\n"
+              "x = os.path.join(comb(3, 1))\n")
+    assert unused_imports(source) == [(3, "js"), (5, "rank")]

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from qschur.tableaux import (Partition, RationalTableau, Tableau, content,
+from qschur.tableaux import (Partition, RationalTableau, Tableau,
                              enumerate_standard, enumerate_standard_rational,
                              first_counts, is_standard, is_standard_rational,
                              multi_indices, ordinary_to_rational, partitions,
@@ -78,7 +78,7 @@ def test_worked_large_anchor():
     t = rational_to_ordinary(rt, 5, 5)
     assert t.rows == ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5),
                       (1, 2, 4), (1, 2, 5), (1, 3), (2,))
-    assert content(t, 5) == (6, 6, 4, 4, 4)
+    assert weight(t.entries(), 5) == (6, 6, 4, 4, 4)
     assert ordinary_to_rational(t, 5, 5) == rt
 
 
