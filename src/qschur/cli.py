@@ -500,13 +500,17 @@ def run_suite(name, n=None, r=None, s=None, m=None):
 # -- subcommands --------------------------------------------------------------
 
 def _read_element(args, mixed=False):
-    """The input element; a ParamError unless it is a list of terms with
-    their keys, letters in 1..n and, if mixed, bidegree (--r, --s)."""
-    if args.input and args.input != "-":
-        with open(args.input) as fh:
-            obj = json.load(fh)
-    else:
-        obj = json.load(sys.stdin)
+    """The input element; a ParamError unless it is JSON, a list of terms
+    with their keys, integer exponents and coefficients, letters in 1..n
+    and one degree, or if mixed the bidegree (--r, --s)."""
+    try:
+        if args.input and args.input != "-":
+            with open(args.input) as fh:
+                obj = json.load(fh)
+        else:
+            obj = json.load(sys.stdin)
+    except ValueError as exc:
+        raise ParamError(f"the element is not JSON: {exc}") from None
     halves = ("plain", "starred") if mixed else ("word",)
     if not isinstance(obj, list):
         raise ParamError("the element must be a JSON list of terms")
@@ -515,8 +519,11 @@ def _read_element(args, mixed=False):
                 and all(isinstance(item.get(h), list) for h in halves)):
             raise ParamError("every term needs the keys "
                              + ", ".join(halves + ("coeff",)))
-        if not all(type(c) in (int, str) for c in item["coeff"].values()):
+        if not all(type(c) in (int, str) and _is_int(c)
+                   for c in item["coeff"].values()):
             raise ParamError("coefficients must be integers")
+        if not all(_is_int(e) for e in item["coeff"]):
+            raise ParamError("exponents must be integers")
         for letter in itertools.chain(*(item[h] for h in halves)):
             if not (isinstance(letter, list) and len(letter) == 2 and
                     all(type(x) is int and 1 <= x <= args.n for x in letter)):
@@ -527,7 +534,19 @@ def _read_element(args, mixed=False):
             raise ParamError(f"a term has bidegree ({len(item['plain'])}, "
                              f"{len(item['starred'])}), not (--r, --s) = "
                              f"({args.r}, {args.s})")
-    return (mx.MixedElem if mixed else qm.AlgebraElem).from_json(obj)
+    elem = (mx.MixedElem if mixed else qm.AlgebraElem).from_json(obj)
+    if not mixed and len({len(w) for w in elem.terms}) > 1:
+        raise ParamError("inhomogeneous element")
+    return elem
+
+
+def _is_int(x):
+    """True iff int() reads x, as LaurentPoly.from_json does."""
+    try:
+        int(x)
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_tableaux(args):
@@ -732,10 +751,15 @@ def main(argv=None):
     try:
         code, report = args.func(args)
         _emit(report, args)
-    except (ParamError, ValueError, KeyError, OSError) as exc:
+    except (ParamError, OSError) as exc:
         # OSError: an unreadable --input or unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # input is checked before any work, so this is a fault of qschur
+        print(f"error: internal fault: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     return code
 
 

@@ -3,7 +3,19 @@
 Every coefficient in this package lives in the ring Z[q, q^-1] or in its
 fraction field (see :mod:`qschur.linalg`).  Laurent polynomials are kept in
 canonical sparse form: a dict from integer exponent to nonzero integer
-coefficient.
+coefficient.  Only this module builds that dict.
+
+Laurent values are immutable and shared: no operation writes into the
+``terms`` of an existing value, so a sum may hold the very value it was
+given.  Every result is a new dict wrapped by ``_make``.  A product with a
+monomial factor c*q^e is a shift and a scale of the other factor.
+
+:func:`accumulate` is the one sparse multiply-add kernel of the package:
+it adds coeff * v into a dict of Laurent values for each (key, v) and drops
+the entries that cancel, with no temporary for the product or the sum.  A
+coefficient 1 stores v itself in a new entry, a monomial coefficient shifts
+and scales v into one new dict, and a general one multiplies straight into
+the sum.
 """
 
 from __future__ import annotations
@@ -70,18 +82,12 @@ class LaurentPoly:
                 t[e] = v
             else:
                 t.pop(e, None)
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = t
-        r._hash = None
-        return r
+        return _make(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        r._hash = None
-        return r
+        return _make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -92,26 +98,29 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        a = self.terms
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            r = LaurentPoly.__new__(LaurentPoly)
-            r.terms = {e: c * other for e, c in self.terms.items()}
-            r._hash = None
-            return r
+            return _make({e: c * other for e, c in a.items()} if other else {})
+        b = other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial factor: shift and scale the other one
+            ((e1, c1),) = a.items()
+            if len(b) == 1:
+                ((e2, c2),) = b.items()
+                return _make({e1 + e2: c1 * c2})
+            return _make({e1 + e: c1 * c for e, c in b.items()})
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 v = t.get(e, 0) + c1 * c2
                 if v:
                     t[e] = v
                 else:
                     del t[e]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = t
-        r._hash = None
-        return r
+        return _make(t)
 
     __rmul__ = __mul__
 
@@ -166,10 +175,7 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by q^k."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {e + k: c for e, c in self.terms.items()}
-        r._hash = None
-        return r
+        return _make({e + k: c for e, c in self.terms.items()})
 
     def int_div(self, g):
         """Divide every coefficient by the integer g (must be exact)."""
@@ -179,10 +185,7 @@ class LaurentPoly:
             if m:
                 raise ValueError("inexact integer division")
             t[e] = d
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = t
-        r._hash = None
-        return r
+        return _make(t)
 
     def unit_decompose(self):
         """For a unit +-q^k, return (sign, k)."""
@@ -234,6 +237,81 @@ class LaurentPoly:
     @staticmethod
     def from_json(obj):
         return LaurentPoly({int(e): int(c) for e, c in obj.items()})
+
+
+_new = object.__new__
+
+
+def _make(terms):
+    """Wrap a dict that is already in normal form (no zero coefficient)."""
+    r = _new(LaurentPoly)
+    r.terms = terms
+    r._hash = None
+    return r
+
+
+def accumulate(acc, items, coeff=None):
+    """Add coeff * v into acc[k] for each (k, v) of items; drop zeros.
+
+    coeff None means 1.  acc is modified in place and returned; no
+    Laurent value, in acc or in items, is.  The values are Laurent, and so
+    is coeff unless it is None.  Three cases of coeff:
+
+    * 1: a new key stores v itself;
+    * a monomial c*q^e: a new key gets v shifted and scaled in one dict (a
+      product of nonzero integers is nonzero, so nothing is dropped);
+    * any other, and any key already in acc: coeff * v is multiplied
+      straight into one new dict, a copy of the old entry's terms if there
+      is one, and an entry whose sum is zero is deleted.
+    """
+    get = acc.get
+    if coeff is not None and type(coeff) is not LaurentPoly:
+        # the fraction-field oracle (linalg.SpanSolver, mat_nullspace)
+        # passes RationalFn coefficients; this branch goes when they move
+        # to the tests (ROADMAP item 4)
+        for k, v in items:
+            v = coeff * v
+            t = get(k)
+            if t is not None:
+                v = t + v
+            if v.is_zero():
+                acc.pop(k, None)
+            else:
+                acc[k] = v
+        return acc
+    ct = {0: 1} if coeff is None else coeff.terms
+    mono = len(ct) == 1
+    if mono:
+        ((e0, c0),) = ct.items()
+        unit = e0 == 0 and c0 == 1
+    for k, v in items:
+        vt = v.terms
+        t = get(k)
+        if t is None and mono:
+            if unit:
+                if vt:
+                    acc[k] = v
+            elif len(vt) == 1:
+                # a dict literal: a comprehension is a call of its own
+                ((e, c),) = vt.items()
+                acc[k] = _make({e + e0: c * c0})
+            elif vt:
+                acc[k] = _make({e + e0: c * c0 for e, c in vt.items()})
+            continue
+        s = {} if t is None else dict(t.terms)
+        for e1, c1 in ct.items():
+            for e2, c2 in vt.items():
+                e = e1 + e2
+                c = s.get(e, 0) + c1 * c2
+                if c:
+                    s[e] = c
+                else:
+                    del s[e]
+        if s:
+            acc[k] = _make(s)
+        elif t is not None:
+            del acc[k]
+    return acc
 
 
 ZERO = LaurentPoly.zero()

@@ -20,36 +20,22 @@ Three engines are provided:
   of :class:`RationalFn`, and no computation of the package calls them.
 
 Vectors are dicts from a sortable column key to a nonzero entry.  Every
-sparse sum in the package is built with :func:`accumulate` (add a scaled
-sequence of entries into a dict, dropping the entries that cancel), and
-the element classes of the algebras and of tensor space share the
-arithmetic of :class:`SparseSum`.
+sparse sum and every whole-row scaling in the package is built with
+:func:`accumulate`, the Laurent multiply-add kernel of :mod:`qschur.laurent`
+re-exported here: it adds coeff * v into a dict for each (key, v), dropping
+the entries that cancel.  A coefficient 1 (or None) stores v itself, a
+monomial +-c*q^e shifts and scales v, and a general polynomial multiplies
+v straight into the sum.  Laurent values are immutable and shared between
+rows, so no engine writes into an entry's terms.  The element classes of
+the algebras and of tensor space share the arithmetic of
+:class:`SparseSum`.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .laurent import LaurentPoly, laurent_divmod
-
-
-def accumulate(acc, items, coeff=None):
-    """Add coeff * v into acc[k] for each (k, v) of items; drop zeros.
-
-    coeff None means 1.  acc is modified in place and returned.
-    """
-    get = acc.get
-    for k, v in items:
-        if coeff is not None:
-            v = coeff * v
-        t = get(k)
-        if t is not None:
-            v = t + v
-        if v.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = v
-    return acc
+from .laurent import LaurentPoly, accumulate, laurent_divmod
 
 
 class SparseSum:
@@ -87,9 +73,7 @@ class SparseSum:
     def scale(self, coeff):
         if isinstance(coeff, int):
             coeff = LaurentPoly.from_int(coeff)
-        if coeff.is_zero():
-            return self._make({})
-        return self._make({k: coeff * v for k, v in self.terms.items()})
+        return self._make(accumulate({}, self.terms.items(), coeff))
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -275,7 +259,7 @@ class Echelon:
         # pivot leaves the others in v nonzero and the order is immaterial
         for c in [c for c in v if c in self.pivots]:
             row = self.pivots[c]
-            v = accumulate({k: val * row[c] for k, val in v.items()},
+            v = accumulate(accumulate({}, v.items(), row[c]),
                            row.items(), -v[c])
         return _strip_content(v)
 
@@ -296,7 +280,7 @@ class Echelon:
         for c0 in holders.pop(pc, ()):
             row = self.pivots[c0]
             new = _strip_content(accumulate(
-                {k: val * p for k, val in row.items()}, res.items(), -row[pc]))
+                accumulate({}, row.items(), p), res.items(), -row[pc]))
             for c in cols:
                 if c in new:
                     holders.setdefault(c, set()).add(c0)
@@ -368,8 +352,8 @@ class UnitSolver:
         pc = min(units)
         sign, k = v[pc].unit_decompose()
         inv = LaurentPoly.q(-k, sign)
-        _append_pivot_row(self.rows, pc, {c: x * inv for c, x in v.items()},
-                          {i: x * inv for i, x in combo.items()})
+        _append_pivot_row(self.rows, pc, accumulate({}, v.items(), inv),
+                          accumulate({}, combo.items(), inv))
 
     def solve(self, v):
         """Laurent coefficients expressing v over the inserted rows, or None.

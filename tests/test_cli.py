@@ -363,6 +363,54 @@ def test_malformed_input_exits_2(argv, elem, monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[{"word": [[1, 1]], "coeff": {"0": "1"}}', "the element is not JSON"),
+    ('[{"word": [[1, 1]], "coeff": {"0": "abc"}}]',
+     "coefficients must be integers"),
+    ('[{"word": [[1, 1]], "coeff": {"x": "1"}}]',
+     "exponents must be integers"),
+    ('[{"word": [[1, 1]], "coeff": {"0": "1"}},'
+     ' {"word": [[1, 1], [2, 2]], "coeff": {"0": "1"}}]',
+     "inhomogeneous element"),
+])
+def test_unreadable_input_is_a_param_error(text, message, monkeypatch,
+                                           capsys):
+    # main reports only ParamError and OSError as bad input (exit 2)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["straighten", "ord", "--n", "2", "--input", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {message}")
+
+
+_WORD = [{"word": [[1, 2]], "coeff": {"0": "1"}}]
+
+
+@pytest.mark.parametrize("argv, elem, target", [
+    (["dims", "--n", "2", "--r", "1", "--s", "1"], None,
+     "tensor.verify_schur_weyl"),
+    (["straighten", "ord", "--n", "2"], _WORD, "qmatrix.straighten"),
+    (["straighten", "mixed", "--n", "2", "--r", "1", "--s", "1"], _BAD_PAIR,
+     "mixed.rational_straighten"),
+    (["iota", "--n", "2", "--r", "1", "--s", "1"], _BAD_PAIR, "mixed.iota"),
+])
+def test_an_internal_fault_of_a_subcommand_exits_1(argv, elem, target,
+                                                   monkeypatch, capsys):
+    # a KeyError inside the work is a fault of qschur, not bad input; the
+    # elements are well formed ((1,1) for _BAD_PAIR at --r 1 --s 1)
+    def fault(*args, **kwargs):
+        raise KeyError("internal")
+    monkeypatch.setattr(f"qschur.{target}", fault)
+    if elem is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(elem)))
+        argv = argv + ["--input", "-"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal fault: KeyError: 'internal'\n"
+
+
 # -- fuzzed straighten/iota input ------------------------------------------
 
 _json_values = st.recursive(

@@ -52,6 +52,81 @@ def test_accumulate_scales_and_drops_cancelled_entries():
     assert accumulate({"a": ONE}, [("a", -ONE)]) == {}
 
 
+# -- the Laurent kernel against a schoolbook oracle --------------------------
+
+def _schoolbook(a, b):
+    """a * b by the double loop, normalized by the LaurentPoly constructor."""
+    t = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            t[e1 + e2] = t.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(t)
+
+
+def _former_accumulate(acc, items, coeff=None):
+    """Reference for accumulate: multiply each item, then add it."""
+    for k, v in items:
+        if coeff is not None:
+            v = _schoolbook(coeff, v)
+        t = acc.get(k)
+        if t is not None:
+            v = t + v
+        if v.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+    return acc
+
+
+_ints = st.integers(-5, 5) | st.integers(-2 ** 80, 2 ** 80)
+_polys = st.dictionaries(st.integers(-3, 3), _ints, max_size=3).map(LaurentPoly)
+_monomials = st.builds(LaurentPoly.q, st.integers(-3, 3),
+                       _ints.filter(bool))
+_factors = _monomials | _polys | st.just(ZERO) | st.just(ONE)
+
+
+@st.composite
+def _accumulate_inputs(draw):
+    """(acc, items, coeff) over a few keys, with entries that cancel."""
+    coeff = draw(st.none() | st.just(ONE) | _monomials | _polys)
+    c = ONE if coeff is None else coeff
+    keys = st.sampled_from("abcd")
+    acc = draw(st.dictionaries(keys, _polys))
+    items = draw(st.lists(st.tuples(keys, _polys), max_size=6))
+    for k in draw(st.lists(keys, max_size=2)):
+        w = draw(_polys)
+        if draw(st.booleans()):
+            acc[k] = -_schoolbook(c, w)    # item (k, w) cancels the entry
+        else:
+            items.append((k, -w))          # items (k, w), (k, -w) cancel
+        items.append((k, w))
+    acc = {k: v for k, v in acc.items() if not v.is_zero()}
+    return acc, draw(st.permutations(items)), coeff
+
+
+@given(_accumulate_inputs())
+@settings(max_examples=300, deadline=None)
+def test_accumulate_matches_the_former_loop(inputs):
+    acc, items, coeff = inputs
+    values = list(acc.values()) + [v for _, v in items]
+    before = [dict(v.terms) for v in values]
+    want = _former_accumulate(dict(acc), items, coeff)
+    got = accumulate(acc, items, coeff)
+    assert got is acc
+    assert list(got) == list(want)      # key order too
+    assert all(got[k].terms == want[k].terms and got[k].terms for k in got)
+    # Laurent values are shared, never written in place
+    assert [v.terms for v in values] == before
+
+
+@given(_factors, _factors)
+@settings(max_examples=300, deadline=None)
+def test_laurent_product_matches_the_schoolbook_product(a, b):
+    before = dict(a.terms), dict(b.terms)
+    assert (a * b).terms == (b * a).terms == _schoolbook(a, b).terms
+    assert (a.terms, b.terms) == before
+
+
 def test_element_classes_share_the_sparse_sum_arithmetic():
     shared = {"zero", "is_zero", "__add__", "__neg__", "__sub__", "scale",
               "__eq__"}
