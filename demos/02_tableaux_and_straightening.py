@@ -18,7 +18,7 @@ def main():
     print(f"Standard bitableaux with n={n}, degree {m}: {len(pairs)}")
     print(f"Closed form C(n^2+m-1, m) = {comb(n * n + m - 1, m)}")
     for t, t2 in pairs:
-        print(f"  shape {t.shape.parts}: {t.rows} | {t2.rows}")
+        print(f"  shape {t.shape}: {t.rows} | {t2.rows}")
 
     word = ((1, 2), (2, 1))
     elem = AlgebraElem({word: ONE})

@@ -394,7 +394,7 @@ def _to_rational(expansion, n, r, s):
     """
     out = {}
     for (t, t2), coeff in expansion.items():
-        if sum(t.shape.parts[:s]) < (n - 1) * s:
+        if sum(t.shape[:s]) < (n - 1) * s:
             continue
         rt = _ordinary_to_rational(t, n, s)
         rt2 = _ordinary_to_rational(t2, n, s)

@@ -2,6 +2,8 @@
 
 Conventions used throughout the package:
 
+* A shape is a plain tuple of positive, weakly decreasing parts.  A
+  tableau is built from its rows alone, and its shape is their lengths.
 * A tableau is *standard* when every row strictly increases left to right
   and every column is nondecreasing downward.
 * A rational tableau is a pair (left, right) of tableaux with shapes
@@ -16,74 +18,40 @@ from __future__ import annotations
 import itertools
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if p)
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        self.parts = parts
-
-    def size(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Partition{self.parts}"
+def _partition(parts):
+    """parts as a tuple; ValueError unless positive and weakly decreasing."""
+    parts = tuple(parts)
+    if any(p <= 0 for p in parts) or \
+            any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError("a shape has positive, weakly decreasing parts")
+    return parts
 
 
 def partitions(m, max_part=None):
-    """All partitions of m with parts <= max_part, lex-descending."""
+    """Partitions of m with parts <= max_part: tuples, lex-descending."""
     if max_part is None:
         max_part = m
     if m == 0:
-        yield Partition()
+        yield ()
         return
     for first in range(min(m, max_part), 0, -1):
         for rest in partitions(m - first, first):
-            yield Partition((first,) + rest.parts)
+            yield (first,) + rest
 
 
 class Tableau:
-    """A filling of a Young diagram with entries in 1..n, stored by rows."""
+    """A filling of a Young diagram with entries in 1..n, built from its
+    rows; its shape, the tuple of row lengths, must be a partition."""
 
     __slots__ = ("shape", "rows", "_hash")
 
-    def __init__(self, shape, rows):
-        if not isinstance(shape, Partition):
-            shape = Partition(shape)
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if tuple(len(row) for row in rows) != shape.parts:
-            raise ValueError("row lengths must match the shape")
-        self.shape = shape
-        self.rows = rows
-        self._hash = hash(rows)
+    def __init__(self, rows):
+        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.shape = _partition(len(row) for row in self.rows)
+        self._hash = hash(self.rows)
 
     def size(self):
-        return self.shape.size()
+        return sum(self.shape)
 
     def entries(self):
         return [x for row in self.rows for x in row]
@@ -105,12 +73,8 @@ class Tableau:
         return "Tableau[" + "|".join("".join(map(str, r)) for r in self.rows) + "]"
 
     def to_json(self):
-        return {"shape": list(self.shape.parts),
+        return {"shape": list(self.shape),
                 "rows": [list(r) for r in self.rows]}
-
-    @staticmethod
-    def from_json(obj):
-        return Tableau(Partition(obj["shape"]), obj["rows"])
 
 
 def is_standard(t):
@@ -126,19 +90,22 @@ def is_standard(t):
 
 
 def enumerate_standard(shape, n):
-    """All standard fillings of shape with entries in 1..n, entry-lex order."""
-    if not isinstance(shape, Partition):
-        shape = Partition(shape)
-    if shape.parts and shape.parts[0] > n:
+    """All standard fillings of shape with entries in 1..n, entry-lex order.
+
+    Zero parts of shape are dropped; a negative or increasing part raises
+    ValueError.
+    """
+    shape = _partition(int(p) for p in shape if p)
+    if shape and shape[0] > n:
         return []
     out = []
     rows_so_far = []
 
     def fill(r):
-        if r == len(shape.parts):
-            out.append(Tableau(shape, list(rows_so_far)))
+        if r == len(shape):
+            out.append(Tableau(rows_so_far))
             return
-        width = shape.parts[r]
+        width = shape[r]
         floor = rows_so_far[r - 1] if r else (1,) * width
         for row in itertools.combinations(range(1, n + 1), width):
             if all(row[c] >= floor[c] for c in range(width)):
@@ -170,22 +137,11 @@ class RationalTableau:
     def __hash__(self):
         return hash((self.left, self.right))
 
-    def __lt__(self, other):
-        if not isinstance(other, RationalTableau):
-            return NotImplemented
-        return (self.left.rows, self.right.rows) < \
-            (other.left.rows, other.right.rows)
-
     def __repr__(self):
         return f"RationalTableau({self.left!r}, {self.right!r})"
 
     def to_json(self):
         return {"left": self.left.to_json(), "right": self.right.to_json()}
-
-    @staticmethod
-    def from_json(obj):
-        return RationalTableau(Tableau.from_json(obj["left"]),
-                               Tableau.from_json(obj["right"]))
 
 
 def first_counts(rt, i):
@@ -215,7 +171,7 @@ def enumerate_standard_rational(n, r, s):
     for k in range(min(r, s), -1, -1):
         for rho in partitions(r - k, n):
             for sigma in partitions(s - k, n):
-                if rho.parts and sigma.parts and rho[0] + sigma[0] > n:
+                if rho and sigma and rho[0] + sigma[0] > n:
                     continue
                 for left in enumerate_standard(rho, n):
                     for right in enumerate_standard(sigma, n):
@@ -243,15 +199,12 @@ def rational_to_ordinary(rt, n, s):
         rows.append(tuple(x for x in range(1, n + 1) if x not in occupied))
     rows.extend(rt.left.rows)
     # a full right-half row has an empty complement; such rows are trailing
-    rows = [row for row in rows if row]
-    shape = Partition(len(row) for row in rows)
-    return Tableau(shape, rows)
+    return Tableau(row for row in rows if row)
 
 
 def ordinary_to_rational(t, n, s):
     """Inverse of rational_to_ordinary."""
-    lam = t.shape.parts
-    if sum(lam[:s]) < (n - 1) * s:
+    if sum(t.shape[:s]) < (n - 1) * s:
         raise ValueError("shape does not satisfy the rational condition")
     right_rows = []
     for j in range(s, 0, -1):  # right row j from tableau row s+1-j
@@ -262,10 +215,7 @@ def ordinary_to_rational(t, n, s):
     right_rows.reverse()
     while right_rows and not right_rows[-1]:
         right_rows.pop()
-    left_rows = t.rows[s:]
-    left = Tableau(Partition(len(r) for r in left_rows), left_rows)
-    right = Tableau(Partition(len(r) for r in right_rows), right_rows)
-    return RationalTableau(left, right)
+    return RationalTableau(Tableau(t.rows[s:]), Tableau(right_rows))
 
 
 # -- multi-indices ------------------------------------------------------

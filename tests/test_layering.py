@@ -168,3 +168,44 @@ def test_the_import_check_sees_every_binding():
               "__all__ = ['gcd']\n"
               "x = os.path.join(comb(3, 1))\n")
     assert unused_imports(source) == [(3, "js"), (5, "rank")]
+
+
+def unread_privates(source):
+    """(line, name) of each top-level underscore name the source defines
+    but never reads."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined += [(node.lineno, name.id) for target in targets
+                        for name in ast.walk(target)
+                        if isinstance(name, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for line, name in defined
+                  if _private(name) and name not in read)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_read(module):
+    assert unread_privates((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_the_unread_check_sees_defs_classes_and_assignments():
+    source = ("def _used():\n"
+              "    return _CACHE\n"
+              "def _dead():\n"
+              "    return _used()\n"
+              "class _Gone:\n"
+              "    _attr = 1\n"
+              "_CACHE, _spare = {}, []\n"
+              "_total: int = 0\n"
+              "__version__ = '1'\n"
+              "public = 2\n")
+    assert unread_privates(source) == [(3, "_dead"), (5, "_Gone"),
+                                       (7, "_spare"), (8, "_total")]

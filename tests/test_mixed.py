@@ -20,7 +20,7 @@ from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           violating_instance_data)
 from qschur.qmatrix import (AlgebraElem, bideterminant, monomial_basis,
                             multiply, quantum_det, straighten)
-from qschur.tableaux import (Partition, Tableau, enumerate_standard_rational,
+from qschur.tableaux import (Tableau, enumerate_standard_rational,
                              rational_to_ordinary)
 
 
@@ -229,7 +229,7 @@ def test_rational_straighten_rejects_another_bidegree():
 def test_a_shape_outside_the_rational_condition(monkeypatch):
     # for n = 3, s = 1 the shape (1, 1) fails sum(lam[:1]) >= 2: phi drops
     # that bideterminant, rational_straighten raises on it
-    t = Tableau(Partition((1, 1)), ((1,), (2,)))
+    t = Tableau(((1,), (2,)))
     img = bideterminant(t, t)
     assert phi(img, 3, 0, 1).is_zero()
     monkeypatch.setattr(mixed, "iota", lambda a, n: img)

@@ -11,7 +11,7 @@ from qschur.qmatrix import (STARRED, AlgebraElem, bideterminant,
                             quantum_det, quantum_minor_left,
                             quantum_minor_right, standard_bitableaux,
                             straighten, word_content)
-from qschur.tableaux import Partition, Tableau, inversions
+from qschur.tableaux import Tableau, inversions
 
 Q = LaurentPoly.q(1)
 QINV = LaurentPoly.q(-1)
@@ -145,8 +145,8 @@ def test_laplace_both_forms():
 
 
 def test_bideterminant_row_order_convention():
-    t = Tableau(Partition((2, 1)), ((1, 2), (2,)))
-    t2 = Tableau(Partition((2, 1)), ((1, 2), (1,)))
+    t = Tableau(((1, 2), (2,)))
+    t2 = Tableau(((1, 2), (1,)))
     manual = multiply(quantum_minor_right([2], [1]),
                       quantum_minor_right([1, 2], [1, 2]))
     assert bideterminant(t, t2) == manual
