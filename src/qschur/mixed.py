@@ -458,10 +458,10 @@ def det_ideal_checker(n, r, s):
     return DetIdealChecker(n, r, s)
 
 
-def minor_pair(r_vec, s_vec, j_tuple):
-    """(r_vec | reversed j)_r * (s_vec | j)*_r as a mixed element."""
-    left = quantum_minor_right(list(r_vec), list(reversed(j_tuple)))
-    right = quantum_minor_right(list(s_vec), list(j_tuple), qexp=-1)
+def minor_pair(r_vec, cols, s_vec, cols_star):
+    """(r_vec | cols)_r * (s_vec | cols_star)*_r as a mixed element."""
+    left = quantum_minor_right(r_vec, cols)
+    right = quantum_minor_right(s_vec, cols_star, qexp=-1)
     return mixed_multiply(MixedElem.from_plain(left),
                           MixedElem.from_starred(right))
 
@@ -476,9 +476,10 @@ def check_straightening_shift(n, r_vec, s_vec, j, k):
     eps = LaurentPoly.q(k * (k - 1), (-1) ** k)
     diff = {}
     for jt in itertools.combinations(range(j + 1, n + 1), k):
-        accumulate(diff, minor_pair(r_vec, s_vec, jt).terms.items())
+        accumulate(diff, minor_pair(r_vec, jt[::-1], s_vec, jt).terms.items())
     for jt in itertools.combinations(range(1, j + 1), k):
-        accumulate(diff, minor_pair(r_vec, s_vec, jt).terms.items(), -eps)
+        accumulate(diff, minor_pair(r_vec, jt[::-1], s_vec, jt).terms.items(),
+                   -eps)
     return det_ideal_checker(n, k, k).congruent_zero(
         MixedElem(diff, normalized=True))
 
@@ -522,12 +523,7 @@ def check_straightening_vanishing(n, r_prime, s_prime, r_vec, s_vec):
     total = {}
     for jt in itertools.combinations(D, k):
         m = sum(1 for jl in jt for c in C if jl < c)
-        cols_left = tuple(L1) + tuple(reversed(jt))
-        cols_right = tuple(jt) + tuple(L2)
-        left = quantum_minor_right(list(r_vec), list(cols_left))
-        right = quantum_minor_right(list(s_vec), list(cols_right), qexp=-1)
-        term = mixed_multiply(MixedElem.from_plain(left),
-                              MixedElem.from_starred(right))
+        term = minor_pair(r_vec, (*L1, *jt[::-1]), s_vec, (*jt, *L2))
         accumulate(total, term.terms.items(), LaurentPoly.q(2 * m))
     return det_ideal_checker(n, len(r_vec), len(s_vec)).congruent_zero(
         MixedElem(total, normalized=True))

@@ -11,9 +11,10 @@ generators act on the right, the quantum-group generators on the left;
 commutation of the two actions is a statement about the matrices and does
 not depend on the side convention.
 
-Quantum-group actions are built recursively from the coproduct on the
-closed operator families K^a e^(k) and f^(k) K^a, with the dual-factor
-action derived mechanically from the antipode.
+The divided powers e_i^(k) and f_i^(k) act in closed form: e and f move
+one factor at most one step, so the iterated coproduct is a sum over the
+k-subsets of the factors that can move, each entry a monomial +-q^e (see
+_divided_power).  A dual factor carries the antipode-twisted action.
 
 The commutant equations split into pairs of blocks that the generators
 find themselves: the connected components of their supports.  The modular
@@ -137,69 +138,42 @@ def walled_generators(n, r, s):
 
 # -- quantum-group generators ------------------------------------------------
 
-def _k_single(n, kind, i, a):
-    """K_i^a on one factor ('v' plain, 'd' dual), as an entry dict."""
-    sign = 1 if kind == "v" else -1
-    return {(j, j): LaurentPoly.q(sign * a * ((j == i) - (j == i + 1)))
-            for j in range(1, n + 1)}
+def _divided_power(n, kinds, tag, i, k):
+    """e_i^(k) (tag 'e') or f_i^(k) (tag 'f') on a tensor of the given
+    factor kinds ('v' plain, 'd' dual), as an entry dict.
 
-
-def _e_single(n, kind, i, a, k):
-    """K_i^a e_i^(k) on one factor, as an entry dict."""
-    if k == 0:
-        return _k_single(n, kind, i, a)
-    if k == 1:
-        if kind == "v":
-            return {(i + 1, i): LaurentPoly.q(a)}
-        return {(i, i + 1): LaurentPoly.q(a - 1, -1)}
-    return {}
-
-
-def _f_single(n, kind, i, a, k):
-    """f_i^(k) K_i^a on one factor."""
-    if k == 0:
-        return _k_single(n, kind, i, a)
-    if k == 1:
-        if kind == "v":
-            return {(i, i + 1): LaurentPoly.q(a)}
-        return {(i + 1, i): LaurentPoly.q(a + 1, -1)}
-    return {}
-
-
-def _tensor_combine(first, rest):
-    """Tensor product of entry dicts over the first factor and the rest."""
-    out = {}
-    for (s1, t1), c1 in first.items():
-        for (s2, t2), c2 in rest.items():
-            out[((s1,) + s2, (t1,) + t2)] = c1 * c2
-    return out
-
-
-@functools.cache
-def _family_matrix(n, kinds, i, a, k, single, qsign):
-    """Matrix of the family operator on a tensor of the given factor kinds.
-
-    single builds the one-factor matrix; qsign = +1 for the K^a e^(k)
-    family (coproduct weights q^(j(k-j)), second leg K^(a+j-k) e^(j)) and
-    -1 for the f^(k) K^a family (weights q^(-j(k-j)), first leg
-    f^(k-j) K^(j+a)).  The result is cached and shared: do not modify it.
+    On one factor e and f move at most one step (e^(2) = f^(2) = 0), so the
+    iterated coproduct is a sum over the k-subsets T of the factors that
+    can move:
+        e^(k) = q^(k(k-1)/2) sum_T (x)_t K^(-#(T before t)) e^[t in T]
+        f^(k) = q^(-k(k-1)/2) sum_T (x)_t f^[t in T] K^(#(T after t))
+    e sends v_(i+1) to v_i and v*_i to -q^-1 v*_(i+1); f sends v_i to
+    v_(i+1) and v*_(i+1) to -q v*_i.  Each entry is one monomial +-q^e.
     """
-    if not kinds:
-        return {((), ()): ONE} if k == 0 else {}
-    out = {}
-    for j in range(k + 1):
-        if qsign > 0:
-            head = single(n, kinds[0], i, a, k - j)
-            tail = _family_matrix(n, kinds[1:], i, a + j - k, j,
-                                  single, qsign)
-        else:
-            head = single(n, kinds[0], i, j + a, k - j)
-            tail = _family_matrix(n, kinds[1:], i, a, j, single, qsign)
-        if not head or not tail:
-            continue
-        accumulate(out, _tensor_combine(head, tail).items(),
-                   LaurentPoly.q(qsign * j * (k - j)))
-    return out
+    sign = 1 if tag == "e" else -1
+    step = {"v": -sign, "d": sign}   # e lowers a plain index, f raises it
+    order = range(len(kinds))[::sign]
+    entries = {}
+    for src in itertools.product(range(1, n + 1), repeat=len(kinds)):
+        movable = [t for t, kind in enumerate(kinds)
+                   if src[t] == i + (step[kind] < 0)]
+        for moved in itertools.combinations(movable, k):
+            tgt = list(src)
+            for t in moved:
+                tgt[t] += step[kinds[t]]
+            duals = sum(kinds[t] == "d" for t in moved)
+            # factor t takes K_i^(-seen) on its target for e, seen the
+            # moved factors before t, and K_i^(seen) on its source for f,
+            # seen those after t; K_i is q^(+-1) on v_i, v_(i+1), inverted
+            # on a dual factor
+            key = tgt if sign > 0 else src
+            exp, seen = sign * (k * (k - 1) // 2 - duals), 0
+            for t in order:
+                w = (key[t] == i) - (key[t] == i + 1)
+                exp -= sign * seen * (w if kinds[t] == "v" else -w)
+                seen += t in moved
+            entries[(src, tuple(tgt))] = LaurentPoly.q(exp, (-1) ** duals)
+    return entries
 
 
 def ugen_on_kinds(n, kinds, g):
@@ -209,15 +183,20 @@ def ugen_on_kinds(n, kinds, g):
     h an integer vector of length n (so ('qh', h) acts on a plain factor
     of index j by q^(h_j) and on a dual factor by q^(-h_j)).
     """
+    if any(kind not in ("v", "d") for kind in kinds):
+        raise ValueError("factor kinds must be 'v' or 'd'")
     tag = g[0]
-    if tag == "e":
+    if tag in ("e", "f"):
         _, i, l = g
-        return Endo(_family_matrix(n, tuple(kinds), i, 0, l, _e_single, 1))
-    if tag == "f":
-        _, i, l = g
-        return Endo(_family_matrix(n, tuple(kinds), i, 0, l, _f_single, -1))
+        if not 1 <= i <= n - 1:
+            raise ValueError("generator index out of range")
+        if not isinstance(l, int) or l < 0:
+            raise ValueError("divided power must be an integer >= 0")
+        return Endo(_divided_power(n, tuple(kinds), tag, i, l))
     if tag == "qh":
         _, h = g
+        if len(h) != n:
+            raise ValueError("qh exponent vector must have length n")
         entries = {}
         for key in itertools.product(range(1, n + 1), repeat=len(kinds)):
             exp = 0

@@ -68,13 +68,109 @@ def test_single_factor_actions():
 
 
 def test_divided_powers_match_scaled_products():
+    cases = [(kinds, 2) for kinds in (("v", "v"), ("v", "d"), ("d", "d"),
+                                      ("v", "v", "v"))]
+    cases += [(kinds, 3) for kinds in (("v", "v", "v"), ("v", "v", "d"),
+                                       ("v", "d", "d"), ("d", "d", "d"))]
     for n in (2, 3):
-        for kinds in (("v", "v"), ("v", "d"), ("d", "d"), ("v", "v", "v")):
+        for kinds, k in cases:
             for i in range(1, n):
                 for tag in ("e", "f"):
                     g1 = ugen_on_kinds(n, kinds, (tag, i, 1))
-                    assert ugen_on_kinds(n, kinds, (tag, i, 2)).scale(
-                        quantum_factorial(2)) == g1.then(g1)
+                    power = g1
+                    for _ in range(k - 1):
+                        power = power.then(g1)
+                    assert ugen_on_kinds(n, kinds, (tag, i, k)).scale(
+                        quantum_factorial(k)) == power
+
+
+# -- the former coproduct recursion, kept as the divided-power oracle ----------
+
+def k_single(n, kind, i, a):
+    """K_i^a on one factor ('v' plain, 'd' dual)."""
+    sign = 1 if kind == "v" else -1
+    return {(j, j): LaurentPoly.q(sign * a * ((j == i) - (j == i + 1)))
+            for j in range(1, n + 1)}
+
+
+def e_single(n, kind, i, a, k):
+    """K_i^a e_i^(k) on one factor."""
+    if k == 0:
+        return k_single(n, kind, i, a)
+    if k == 1:
+        if kind == "v":
+            return {(i + 1, i): LaurentPoly.q(a)}
+        return {(i, i + 1): LaurentPoly.q(a - 1, -1)}
+    return {}
+
+
+def f_single(n, kind, i, a, k):
+    """f_i^(k) K_i^a on one factor."""
+    if k == 0:
+        return k_single(n, kind, i, a)
+    if k == 1:
+        if kind == "v":
+            return {(i, i + 1): LaurentPoly.q(a)}
+        return {(i + 1, i): LaurentPoly.q(a + 1, -1)}
+    return {}
+
+
+def family_matrix(n, kinds, i, a, k, single, qsign):
+    """K^a e^(k) (qsign +1) or f^(k) K^a (qsign -1) on the given factor
+    kinds, by the coproduct: weights q^(+-j(k-j)), with second leg
+    K^(a+j-k) e^(j), or first leg f^(k-j) K^(j+a) (test oracle)."""
+    if not kinds:
+        return {((), ()): ONE} if k == 0 else {}
+    out = {}
+    for j in range(k + 1):
+        if qsign > 0:
+            head = single(n, kinds[0], i, a, k - j)
+            tail = family_matrix(n, kinds[1:], i, a + j - k, j, single, qsign)
+        else:
+            head = single(n, kinds[0], i, j + a, k - j)
+            tail = family_matrix(n, kinds[1:], i, a, j, single, qsign)
+        accumulate(out, ((((s1,) + s2, (t1,) + t2), c1 * c2)
+                         for (s1, t1), c1 in head.items()
+                         for (s2, t2), c2 in tail.items()),
+                   LaurentPoly.q(qsign * j * (k - j)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", range(5))
+def test_divided_powers_match_the_coproduct_recursion(n, m):
+    for kinds in itertools.product("vd", repeat=m):
+        for i in range(1, n):
+            for k in range(m + 2):
+                assert ugen_on_kinds(n, kinds, ("e", i, k)).terms == \
+                    family_matrix(n, kinds, i, 0, k, e_single, 1)
+                assert ugen_on_kinds(n, kinds, ("f", i, k)).terms == \
+                    family_matrix(n, kinds, i, 0, k, f_single, -1)
+
+
+@pytest.mark.parametrize("kinds, g", [
+    (("d",), ("e", 2, 1)),      # i past n - 1: gave the index 3 at n = 2
+    (("v",), ("f", 0, 1)),      # i = 0: gave the key (0,)
+    (("v",), ("e", 1, -1)),
+    (("v",), ("e", 1, 1.0)),
+    (("v",), ("qh", (1,))),     # h shorter than n: raised IndexError
+    (("v",), ("qh", (1, 0, 0))),
+    (("v", "x"), ("e", 1, 1)),  # a kind other than 'v' was read as dual
+    (("x",), ("qh", (1, 0))),
+])
+def test_ugen_rejects_a_malformed_generator(kinds, g):
+    with pytest.raises(ValueError):
+        ugen_on_kinds(2, kinds, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ugen_keys_lie_in_the_basis(n):
+    for m in range(4):
+        for kinds in itertools.product("vd", repeat=m):
+            basis = set(itertools.product(range(1, n + 1), repeat=m))
+            for g in uprime_generators(n, m + 1):
+                for src, tgt in ugen_on_kinds(n, kinds, g).terms:
+                    assert src in basis and tgt in basis
 
 
 def test_quantum_group_relations_on_tensor_space():
