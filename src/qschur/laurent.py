@@ -6,16 +6,17 @@ canonical sparse form: a dict from integer exponent to nonzero integer
 coefficient.  Only this module builds that dict.
 
 Laurent values are immutable and shared: no operation writes into the
-``terms`` of an existing value, so a sum may hold the very value it was
-given.  Every result is a new dict wrapped by ``_make``.  A product with a
-monomial factor c*q^e is a shift and a scale of the other factor.
+``terms`` of an existing value, so a sum or a product may hold the very
+value it was given.
 
 :func:`accumulate` is the one sparse multiply-add kernel of the package:
 it adds coeff * v into a dict of Laurent values for each (key, v) and drops
 the entries that cancel, with no temporary for the product or the sum.  A
 coefficient 1 stores v itself in a new entry, a monomial coefficient shifts
 and scales v into one new dict, and a general one multiplies straight into
-the sum.
+the sum.  ``+``, ``-`` and ``*`` on LaurentPoly are accumulate calls on one
+key, a product with its monomial factor, if any, as the coefficient.  There
+is no power operator; a power of a unit +-q^e is written as one monomial.
 """
 
 from __future__ import annotations
@@ -73,16 +74,10 @@ class LaurentPoly:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            v = t.get(e, 0) + c
-            if v:
-                t[e] = v
-            else:
-                t.pop(e, None)
-        return _make(t)
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return accumulate({0: self}, ((0, other),)).get(0, ZERO)
 
     __radd__ = __add__
 
@@ -90,69 +85,38 @@ class LaurentPoly:
         return _make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a = self.terms
-        if isinstance(other, int):
-            return _make({e: c * other for e, c in a.items()} if other else {})
-        b = other.terms
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            # a monomial factor: shift and scale the other one
-            ((e1, c1),) = a.items()
-            if len(b) == 1:
-                ((e2, c2),) = b.items()
-                return _make({e1 + e2: c1 * c2})
-            return _make({e1 + e: c1 * c for e, c in b.items()})
-        t = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                v = t.get(e, 0) + c1 * c2
-                if v:
-                    t[e] = v
-                else:
-                    del t[e]
-        return _make(t)
+        b = _operand(other)
+        if b is NotImplemented:
+            return NotImplemented
+        # a monomial factor is the kernel's coefficient: it shifts and
+        # scales the other factor
+        a, b = (b, self) if len(b.terms) == 1 else (self, b)
+        return accumulate({}, ((0, b),), a).get(0, ZERO)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            if not self.is_unit():
-                raise ValueError("negative power of a non-unit")
-            ((e, c),) = self.terms.items()
-            return LaurentPoly({e * n: c if n % 2 else 1})
-        r = LaurentPoly.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
 
     # -- comparison ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {0: other}
-        if not isinstance(other, LaurentPoly):
+        other = _operand(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            t = self.terms
+            # a constant hashes like the int it equals
+            self._hash = (hash(t.get(0, 0)) if t.keys() <= {0}
+                          else hash(frozenset(t.items())))
         return self._hash
 
     # -- inspection ----------------------------------------------------
@@ -250,6 +214,13 @@ def _make(terms):
     return r
 
 
+def _operand(x):
+    """x as a LaurentPoly if it is one or an int, else NotImplemented."""
+    if isinstance(x, LaurentPoly):
+        return x
+    return LaurentPoly.from_int(x) if isinstance(x, int) else NotImplemented
+
+
 def accumulate(acc, items, coeff=None):
     """Add coeff * v into acc[k] for each (k, v) of items; drop zeros.
 
@@ -327,10 +298,8 @@ def neg_q_power(k):
 
 def neg_q_log(a):
     """The c with a = (-q)^c, or None if a is no power of -q."""
-    if not a.is_unit():
-        return None
-    sign, c = a.unit_decompose()
-    return c if sign == (-1) ** (c % 2) else None
+    c = a.min_exp()
+    return c if a == neg_q_power(c) else None
 
 
 def laurent_divmod(a, b):

@@ -137,14 +137,15 @@ def multiply(a, b, rewriter=PLAIN):
     return AlgebraElem(t, rewriter=rewriter)
 
 
-def _sort_with_sign(seq, unit):
-    """Sort an index list; return (sorted tuple, unit^inversions) or None.
+def _sort_with_sign(seq, exp):
+    """(sorted tuple, (-q^exp)^inversions) of an index list, or None.
 
     None signals a repeated index, which makes the minor vanish.
     """
     if len(set(seq)) != len(seq):
         return None
-    return tuple(sorted(seq)), unit ** inversions(list(seq))
+    inv = inversions(list(seq))
+    return tuple(sorted(seq)), LaurentPoly.q(exp * inv, (-1) ** inv)
 
 
 @functools.cache
@@ -155,8 +156,8 @@ def _quantum_minor(rows, cols, qexp, left):
         raise ValueError("row and column lists must have equal length")
     rewriter = PLAIN if qexp == 1 else STARRED
     row_exp = qexp if left else -qexp
-    sr = _sort_with_sign(rows, LaurentPoly.q(row_exp, -1))
-    sc = _sort_with_sign(cols, LaurentPoly.q(-row_exp, -1))
+    sr = _sort_with_sign(rows, row_exp)
+    sc = _sort_with_sign(cols, -row_exp)
     if sr is None or sc is None:
         return AlgebraElem.zero()
     (rows, sign_r), (cols, sign_c) = sr, sc

@@ -492,8 +492,9 @@ class _ModEchelon:
 def rank_mod(rows, p):
     """Rank over F_p of sparse rows: each an iterable of (column, residue)
     pairs, the residues of a repeated column summed.  Columns are any
-    hashable keys; only those the rows use are indexed.  p must pass
-    _check_modulus.  One _ModEchelon insert."""
+    hashable keys; only those the rows use are indexed.  Raises
+    ValueError unless p passes _check_modulus.  One _ModEchelon insert."""
+    _check_modulus(1, p)
     import numpy
     cols, at_row, at_col, vals, nrows = {}, [], [], [], 0
     for row in rows:

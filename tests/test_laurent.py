@@ -13,6 +13,7 @@ from qschur.laurent import (LaurentPoly, ONE, ZERO, exact_div,
                             quantum_binomial,
                             quantum_factorial, quantum_integer,
                             quantum_integer_signed)
+from qschur.linalg import RationalFn
 
 _q = sympy.Symbol("q")
 
@@ -35,16 +36,9 @@ def test_basic_arithmetic():
     assert LaurentPoly.q(3, -2).shift(-3) == LaurentPoly.from_int(-2)
 
 
-def test_negative_power_of_unit():
-    u = LaurentPoly.q(2, -1)
-    assert u ** -3 == LaurentPoly.q(-6, -1)
-    with pytest.raises(ValueError):
-        (ONE + LaurentPoly.q(1)) ** -1
-
-
 @pytest.mark.parametrize("k", [-3, -2])
 def test_negative_power_of_minus_q_has_int_coefficients(k):
-    u = LaurentPoly.q(1, -1) ** k
+    u = neg_q_power(k)
     assert u.terms == {k: (-1) ** abs(k)}
     assert all(type(c) is int for c in u.terms.values())
     assert u.to_json() == {str(k): str((-1) ** abs(k))}
@@ -57,7 +51,7 @@ def test_neg_q_power():
     assert neg_q_power(3) == LaurentPoly.q(3, -1)
     assert neg_q_power(-2) == LaurentPoly.q(-2)
     for k in range(-4, 5):
-        assert neg_q_power(k) == neg_q_power(1) ** k
+        assert neg_q_power(k) == LaurentPoly.q(k, (-1) ** (k % 2))
 
 
 def test_quantum_integer_against_sympy():
@@ -156,3 +150,24 @@ def test_neg_q_log_decodes_powers_of_minus_q_only():
         assert neg_q_log(-neg_q_power(c)) is None
     for a in (LaurentPoly.zero(), LaurentPoly.q(1, 2), LaurentPoly.q(2) + ONE):
         assert neg_q_log(a) is None
+
+
+def test_operators_defer_to_other_types():
+    # +, - and * return NotImplemented on an operand that is neither a
+    # LaurentPoly nor an int, so Python tries the other operand's method
+    q = LaurentPoly.q(1)
+    r = RationalFn(ONE, q + 1)
+    assert q * r == r * q
+    assert q + r == r + q
+    assert q - r == -(r - q)
+    with pytest.raises(TypeError):
+        q * 2.5
+    with pytest.raises(TypeError):
+        q + None
+
+
+@pytest.mark.parametrize("c", [0, 1, -2, 3, 10 ** 30])
+def test_a_constant_hashes_like_its_int(c):
+    a = LaurentPoly.from_int(c)
+    assert a == c and hash(a) == hash(c)
+    assert len({a, c}) == 1

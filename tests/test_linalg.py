@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur import linalg
+from qschur import laurent, linalg
 from qschur.laurent import LaurentPoly, ONE, ZERO
 from qschur.linalg import (Echelon, RationalFn, SparseSum, SpanSolver,
                            UnitSolver, accumulate, mat_nullspace)
@@ -63,6 +63,14 @@ def _schoolbook(a, b):
     return LaurentPoly(t)
 
 
+def _schoolbook_sum(a, b):
+    """a + b by merging the term dicts, normalized by the constructor."""
+    t = dict(a.terms)
+    for e, c in b.terms.items():
+        t[e] = t.get(e, 0) + c
+    return LaurentPoly(t)
+
+
 def _former_accumulate(acc, items, coeff=None):
     """Reference for accumulate: multiply each item, then add it."""
     for k, v in items:
@@ -70,7 +78,7 @@ def _former_accumulate(acc, items, coeff=None):
             v = _schoolbook(coeff, v)
         t = acc.get(k)
         if t is not None:
-            v = t + v
+            v = _schoolbook_sum(t, v)
         if v.is_zero():
             acc.pop(k, None)
         else:
@@ -125,6 +133,38 @@ def test_laurent_product_matches_the_schoolbook_product(a, b):
     before = dict(a.terms), dict(b.terms)
     assert (a * b).terms == (b * a).terms == _schoolbook(a, b).terms
     assert (a.terms, b.terms) == before
+
+
+@given(_factors, _factors, _ints)
+@settings(max_examples=300, deadline=None)
+def test_laurent_sum_and_int_product_match_schoolbook(a, b, k):
+    before = dict(a.terms), dict(b.terms)
+    neg_b = LaurentPoly({e: -c for e, c in b.terms.items()})
+    kk = LaurentPoly.from_int(k)
+    assert (a + b).terms == _schoolbook_sum(a, b).terms
+    assert (a - b).terms == _schoolbook_sum(a, neg_b).terms
+    assert (-a).terms == {e: -c for e, c in a.terms.items()}
+    assert (a + k).terms == (k + a).terms == _schoolbook_sum(a, kk).terms
+    assert (k * a).terms == (a * k).terms == _schoolbook(kk, a).terms
+    assert (a.terms, b.terms) == before
+
+
+def test_a_monomial_factor_is_the_kernel_coefficient(monkeypatch):
+    # the kernel shifts and scales by a monomial coefficient; as an item
+    # the monomial would take the general double loop
+    seen = []
+
+    def spy(acc, items, coeff=None):
+        seen.append(coeff)
+        return accumulate(acc, items, coeff)
+
+    monkeypatch.setattr(laurent, "accumulate", spy)
+    poly = LaurentPoly({0: 1, 1: 4})
+    for mono in (LaurentPoly.q(2, -3), ONE):
+        for a, b in ((mono, poly), (poly, mono)):
+            seen.clear()
+            assert (a * b).terms == _schoolbook(a, b).terms
+            assert seen == [mono]
 
 
 def test_element_classes_share_the_sparse_sum_arithmetic():

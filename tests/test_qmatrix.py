@@ -97,8 +97,8 @@ def test_unsorted_and_repeated_indices_give_the_uncached_minor():
             assert got.is_zero()
             continue
         row_exp = qexp if left else -qexp
-        sign = (LaurentPoly.q(row_exp, -1) ** inversions(list(rows))
-                * LaurentPoly.q(-row_exp, -1) ** inversions(list(cols)))
+        a, b = inversions(list(rows)), inversions(list(cols))
+        sign = LaurentPoly.q(row_exp * (a - b), (-1) ** (a + b))
         assert got == minor(sorted(rows), sorted(cols),
                             qexp=qexp).scale(sign)
 

@@ -408,6 +408,14 @@ def test_rank_mod_edge_cases():
     assert rank_mod([[(10 ** 9, 1)], [(10 ** 9, 2)]], 7) == 1
 
 
+@pytest.mark.parametrize("p", [2 ** 61 - 1, 9, 4])
+def test_rank_mod_rejects_a_modulus_the_bounds_cannot_use(p):
+    # over F_p the rows below are proportional (rank 1); at 2^61 - 1 the
+    # int64 products overflow, and 9 and 4 are not prime
+    with pytest.raises(ValueError, match="prime"):
+        rank_mod([[(0, p - 1), (1, 2)], [(0, 1), (1, p - 2)]], p)
+
+
 # -- the block closure and the modular commutant bound -----------------------
 
 def full_closure_modular(gens, keys, q0, p):
