@@ -9,15 +9,21 @@ Three engines are provided:
   insert back-reduces only the rows that hold its pivot column, found
   through a column index, so a span that splits into blocks over
   disjoint columns needs no split by the caller.
-* :class:`UnitSolver` -- reduced row echelon form over Z[q,q^-1] itself
-  with combination tracking, for spanning sets whose transition matrix is
-  unimodular: every pivot is a unit +-q^k, so no fraction ever appears.
-  It is the engine of ordinary straightening, hence of rational
-  straightening through iota, and of ``tensor.pi_restrict``.
+* :class:`UnitSolver` -- LU with unit pivots over Z[q,q^-1] itself,
+  B = L·R, for spanning sets whose transition matrix is unimodular: every
+  pivot is a unit +-q^k, so no fraction ever appears.  An insert
+  forward-reduces the new row alone and never touches an earlier one; a
+  solve is a forward pass over R and a back-substitution over L.  The
+  certificate is that of reduced row echelon form with combination
+  tracking: the same pivots, the same "no unit pivot" error on the same
+  rows, the same solutions.  It is the engine of ordinary straightening,
+  hence of rational straightening through iota, and of
+  ``tensor.pi_restrict``.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
-  with combination tracking.  It serves only :func:`mat_nullspace`, the
-  nullspace basis over the fraction field; these two are the only users
-  of :class:`RationalFn`, and no computation of the package calls them.
+  with combination tracking, the one tracked elimination of the package.
+  It serves only :func:`mat_nullspace`, the nullspace basis over the
+  fraction field, and the tests' oracles; these two are the only users of
+  :class:`RationalFn`, and no computation of the package calls them.
 
 Vectors are dicts from a sortable column key to a nonzero entry.  Every
 sparse sum and every whole-row scaling in the package is built with
@@ -296,55 +302,46 @@ class Echelon:
         return not self.reduce(v)
 
 
-def _reduce_tracked(rows, v, combo):
-    """Clear the pivot columns of rows from v, tracking the combination.
-
-    rows holds (pivot column, row, combo) with row[pivot] == 1; v and
-    combo are modified in place and returned.
-    """
-    for pc, row, rcombo in rows:
-        coeff = v.get(pc)
-        if coeff is None:
-            continue
-        accumulate(v, row.items(), -coeff)
-        accumulate(combo, rcombo.items(), -coeff)
-    return v, combo
-
-
-def _append_pivot_row(rows, pc, v, combo):
-    """Clear column pc from rows with the new row v (v[pc] == 1), append it.
-
-    Back-substitution keeps the rows in reduced row echelon form.
-    """
-    for _, row0, combo0 in rows:
-        coeff = row0.get(pc)
-        if coeff is not None:
-            accumulate(row0, v.items(), -coeff)
-            accumulate(combo0, combo.items(), -coeff)
-    rows.append((pc, v, combo))
-
-
 class UnitSolver:
-    """RREF over Z[q,q^-1] with unit pivots and combination tracking.
+    """LU with unit pivots over Z[q,q^-1]: the inserted rows B = L·R.
 
-    Rows are dicts column -> LaurentPoly, inserted in order.  Each reduced
-    row is pivoted on its lowest column whose entry is a unit +-q^k and
-    normalized by that unit's inverse, so every entry stays a Laurent
-    polynomial.  A reduced row with no unit entry (a zero row included)
-    raises AssertionError.  A build without that error certifies that the
-    rows are independent with a transition matrix invertible over
+    Rows are dicts column -> LaurentPoly, inserted in order.  A new row is
+    forward-reduced, in insertion order, against the stored rows of R, each
+    of which has a 1 in its pivot column; the multipliers are kept as its
+    row of L.  The reduced row is pivoted on its lowest column whose entry
+    is a unit u = +-q^k and stored as u^-1 times itself, with u^-1 on the
+    diagonal of L, so every entry stays a Laurent polynomial and no earlier
+    row is ever touched.  A reduced row with no unit entry (a zero row
+    included) raises AssertionError.  A build without that error certifies
+    that the rows are independent with a transition matrix invertible over
     Z[q,q^-1], so every solution of solve() is Laurent.  The converse does
     not hold: the rows (2, 3), (1, 1) have determinant -1, yet the first
     has no unit entry.
+
+    The reduced row is the unique vector of B_i + span(earlier rows) that
+    vanishes on the earlier pivots, so it is the residual that reduced row
+    echelon form with combination tracking would pivot on: the pivots, the
+    AssertionError and every solution are the same.
     """
 
     def __init__(self):
-        self.rows = []      # (pivot col, row dict, combo dict)
+        self.rows = []      # (pivot col, row of R with row[pivot col] == 1)
+        self._lower = []    # (u^-1, {earlier index: multiplier}): rows of L
+
+    def _forward(self, v):
+        """Clear the pivot columns from v in place; return the multipliers."""
+        mults = {}
+        for i, (pc, row) in enumerate(self.rows):
+            coeff = v.get(pc)
+            if coeff is not None:
+                mults[i] = coeff
+                accumulate(v, row.items(), -coeff)
+        return mults
 
     def insert(self, v):
         """Insert the next spanning row."""
-        v, combo = _reduce_tracked(self.rows, dict(v),
-                                   {len(self.rows): LaurentPoly.one()})
+        v = {c: x for c, x in v.items() if not x.is_zero()}
+        mults = self._forward(v)
         units = [c for c, x in v.items() if x.is_unit()]
         if not units:
             raise AssertionError("no unit pivot: the rows are not "
@@ -352,19 +349,29 @@ class UnitSolver:
         pc = min(units)
         sign, k = v[pc].unit_decompose()
         inv = LaurentPoly.q(-k, sign)
-        _append_pivot_row(self.rows, pc, accumulate({}, v.items(), inv),
-                          accumulate({}, combo.items(), inv))
+        self.rows.append((pc, accumulate({}, v.items(), inv)))
+        self._lower.append((inv, mults))
 
     def solve(self, v):
         """Laurent coefficients expressing v over the inserted rows, or None.
 
-        The returned dict maps insertion index -> nonzero LaurentPoly.
+        The returned dict maps insertion index -> nonzero LaurentPoly.  The
+        forward pass writes v = y·R; back-substitution over L, from the last
+        row down, solves x·L = y.
         """
         v = {c: x for c, x in v.items() if not x.is_zero()}
-        res, combo = _reduce_tracked(self.rows, v, {})
-        if res:
+        y = self._forward(v)
+        if v:
             return None
-        return {i: -x for i, x in combo.items()}
+        x = {}
+        for i in range(len(self.rows) - 1, -1, -1):
+            yi = y.pop(i, None)
+            if yi is None:
+                continue
+            inv, mults = self._lower[i]
+            x[i] = xi = yi * inv
+            accumulate(y, mults.items(), -xi)
+        return x
 
 
 class SpanSolver:
@@ -386,8 +393,14 @@ class SpanSolver:
         return len(self.rows)
 
     def _reduce(self, v, combo):
+        """Clear the pivot columns from v, tracking the combination."""
         v = {c: _coerce(x) for c, x in v.items() if not _coerce(x).is_zero()}
-        return _reduce_tracked(self.rows, v, combo)
+        for pc, row, rcombo in self.rows:
+            coeff = v.get(pc)
+            if coeff is not None:
+                accumulate(v, row.items(), -coeff)
+                accumulate(combo, rcombo.items(), -coeff)
+        return v, combo
 
     def insert(self, v):
         """Insert the next spanning row; returns True if independent."""
@@ -399,9 +412,15 @@ class SpanSolver:
             return False
         pc = min(v)
         pval = v[pc]
-        _append_pivot_row(self.rows, pc,
-                          {k: val / pval for k, val in v.items()},
-                          {k: val / pval for k, val in combo.items()})
+        v = {k: val / pval for k, val in v.items()}
+        combo = {k: val / pval for k, val in combo.items()}
+        # back-substitution keeps the rows in reduced row echelon form
+        for _, row0, combo0 in self.rows:
+            coeff = row0.get(pc)
+            if coeff is not None:
+                accumulate(row0, v.items(), -coeff)
+                accumulate(combo0, combo.items(), -coeff)
+        self.rows.append((pc, v, combo))
         return True
 
     def solve(self, v):

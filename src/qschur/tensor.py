@@ -283,15 +283,19 @@ def weight_projector(n, m, lam):
     if len(lam) != n or sum(lam) != m or any(x < 0 for x in lam):
         raise ValueError("lam must be a composition of m into n parts")
     entries = {}
+    scalars = {}    # weight -> its diagonal scalar, for this call only
     for key in ordinary_basis(n, m):
         wt = weight(key, n)
-        scalar = ONE
-        for i in range(n - 1):
-            a = wt[i] - wt[i + 1]
-            t = lam[i] - lam[i + 1] + m + 1
-            scalar = scalar * quantum_binomial(a + m + 1, t)
-            if scalar.is_zero():
-                break
+        scalar = scalars.get(wt)
+        if scalar is None:
+            scalar = ONE
+            for i in range(n - 1):
+                a = wt[i] - wt[i + 1]
+                t = lam[i] - lam[i + 1] + m + 1
+                scalar = scalar * quantum_binomial(a + m + 1, t)
+                if scalar.is_zero():
+                    break
+            scalars[wt] = scalar
         if not scalar.is_zero():
             entries[(key, key)] = scalar
     return Endo(entries)

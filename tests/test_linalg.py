@@ -1,11 +1,15 @@
 """Exact linear algebra engines, cross-checked against sympy ranks."""
 
+import itertools
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschur import laurent, linalg
+from qschur import qmatrix as qm
 from qschur.laurent import LaurentPoly, ONE, ZERO
 from qschur.linalg import (Echelon, RationalFn, SparseSum, SpanSolver,
                            UnitSolver, accumulate, mat_nullspace)
@@ -377,3 +381,199 @@ def test_unitsolver_raises_without_a_unit_pivot():
     # build is a certificate only when it succeeds
     with pytest.raises(AssertionError):
         UnitSolver().insert({0: 2 * ONE, 1: 3 * ONE})
+
+
+class GaussJordanUnitSolver:
+    """The former UnitSolver: RREF over Z[q,q^-1], combinations tracked.
+
+    Every insert back-reduces all earlier rows and their combinations, and
+    every solve multiplies the vector into those combinations.  It calls
+    linalg.accumulate through the module, so a spy on it counts both this
+    oracle's work and UnitSolver's.
+    """
+
+    def __init__(self):
+        self.rows = []      # (pivot col, row dict, combo dict)
+
+    def _reduce(self, v, combo):
+        for pc, row, rcombo in self.rows:
+            coeff = v.get(pc)
+            if coeff is not None:
+                linalg.accumulate(v, row.items(), -coeff)
+                linalg.accumulate(combo, rcombo.items(), -coeff)
+        return v, combo
+
+    def insert(self, v):
+        v, combo = self._reduce(dict(v), {len(self.rows): ONE})
+        units = [c for c, x in v.items() if x.is_unit()]
+        if not units:
+            raise AssertionError("no unit pivot")
+        pc = min(units)
+        sign, k = v[pc].unit_decompose()
+        inv = LaurentPoly.q(-k, sign)
+        v = linalg.accumulate({}, v.items(), inv)
+        combo = linalg.accumulate({}, combo.items(), inv)
+        for _, row0, combo0 in self.rows:
+            coeff = row0.get(pc)
+            if coeff is not None:
+                linalg.accumulate(row0, v.items(), -coeff)
+                linalg.accumulate(combo0, combo.items(), -coeff)
+        self.rows.append((pc, v, combo))
+
+    def solve(self, v):
+        v = {c: x for c, x in v.items() if not x.is_zero()}
+        res, combo = self._reduce(v, {})
+        if res:
+            return None
+        return {i: -x for i, x in combo.items()}
+
+
+def _combine(rows, coeffs):
+    """sum coeffs[i] * rows[i] by schoolbook sums, zeros dropped."""
+    out = {}
+    for row, c in zip(rows, coeffs):
+        for col, x in row.items():
+            out[col] = _schoolbook_sum(out.get(col, ZERO), _schoolbook(c, x))
+    return {col: x for col, x in out.items() if not x.is_zero()}
+
+
+def _expected(coeffs):
+    return {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
+
+
+_units = st.builds(LaurentPoly.q, st.integers(-3, 3), st.sampled_from((1, -1)))
+_sparse = st.just(ZERO) | st.just(ZERO) | _units | laurents
+
+
+@st.composite
+def _unimodular_blocks(draw):
+    """(rows, defective): the rows of L·U, U's columns permuted.
+
+    L is lower triangular and U upper triangular, both with unit diagonals
+    +-q^k (negative ones included) and sparse entries off them; U may have
+    up to two columns more than rows.  If defective, one row is multiplied
+    by a non-unit, so no unit-pivot build of the rows can succeed.
+    """
+    n = draw(st.integers(1, 6))
+    ncols = n + draw(st.integers(0, 2))
+    perm = draw(st.permutations(range(ncols)))
+    upper = []
+    for i in range(n):
+        row = {perm[i]: draw(_units)}
+        for j in range(i + 1, ncols):
+            row[perm[j]] = draw(_sparse)
+        upper.append(row)
+    rows = [_combine(upper[:i + 1],
+                     [draw(_sparse) for _ in range(i)] + [draw(_units)])
+            for i in range(n)]
+    defect = draw(st.none() | st.tuples(
+        st.integers(0, n - 1),
+        st.sampled_from((2 * ONE, -3 * ONE, ONE + LaurentPoly.q(1)))))
+    if defect is not None:
+        i, f = defect
+        rows[i] = _combine([rows[i]], [f])
+    return rows, defect is not None
+
+
+@given(_unimodular_blocks(),
+       st.lists(st.lists(laurents, min_size=6, max_size=6),
+                min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 7), laurents), max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_unit_lu_matches_the_gauss_jordan_oracle(block, coeff_lists, noise):
+    rows, defective = block
+    lu, gj = UnitSolver(), GaussJordanUnitSolver()
+    for row in rows:
+        raised = []
+        for solver in (lu, gj):
+            try:
+                solver.insert(row)
+                raised.append(False)
+            except AssertionError:
+                raised.append(True)
+        assert raised[0] == raised[1]
+        if raised[0]:
+            break
+    else:
+        # a complete build certifies a unimodular block
+        assert not defective
+    built = len(gj.rows)
+    assert len(lu.rows) == built
+    for coeffs in coeff_lists:
+        coeffs = coeffs[:built]
+        v = _combine(rows, coeffs)
+        assert lu.solve(v) == gj.solve(v) == _expected(coeffs)
+        w = dict(v)
+        for col, c in noise:
+            w[col] = _schoolbook_sum(w.get(col, ZERO), c)
+        assert lu.solve(w) == gj.solve(w)
+        w[8] = ONE      # no row has column 8
+        assert lu.solve(w) is None and gj.solve(w) is None
+
+
+def _block_rows(n, alpha, beta):
+    """The straightening solver of a block and its bideterminant rows."""
+    index, solver = qm._StraightenCache().solver(n, alpha, beta)
+    return solver, [qm.bideterminant(t, t2).terms for t, t2 in index]
+
+
+def _compositions(m, n):
+    return [c for c in itertools.product(range(m + 1), repeat=n)
+            if sum(c) == m]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_unit_lu_matches_the_oracle_on_straightening_blocks(n):
+    rng = random.Random(n)
+    for m in range(5):
+        for alpha, beta in itertools.product(_compositions(m, n), repeat=2):
+            solver, rows = _block_rows(n, alpha, beta)
+            oracle = GaussJordanUnitSolver()
+            for row in rows:
+                oracle.insert(row)
+            for i, row in enumerate(rows):
+                assert solver.solve(row) == oracle.solve(row) == {i: ONE}
+            for _ in range(3):
+                coeffs = [LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)
+                                       for _ in range(rng.randint(0, 2))})
+                          for _ in rows]
+                v = _combine(rows, coeffs)
+                assert solver.solve(v) == oracle.solve(v) == _expected(coeffs)
+
+
+def test_unit_lu_does_less_kernel_work_than_the_oracle(monkeypatch):
+    """Items through linalg.accumulate on the 21-row (2,2,2)/(2,2,2) block.
+
+    A count, not a timing: the LU build and the solve of every row both
+    pass fewer items than the Gauss-Jordan oracle, and neither insert nor
+    solve writes into its argument.
+    """
+    _, rows = _block_rows(3, (2, 2, 2), (2, 2, 2))
+    assert len(rows) == 21
+    items = [0]
+    kernel = linalg.accumulate
+
+    def counting(acc, it, coeff=None):
+        it = list(it)
+        items[0] += len(it)
+        return kernel(acc, it, coeff)
+
+    monkeypatch.setattr(linalg, "accumulate", counting)
+
+    def work(solver):
+        counts = []
+        for call in (solver.insert, solver.solve):
+            items[0] = 0
+            for row in rows:
+                before = list(row.items())
+                terms = [dict(x.terms) for x in row.values()]
+                call(row)
+                assert list(row.items()) == before
+                assert [x.terms for x in row.values()] == terms
+            counts.append(items[0])
+        return counts
+
+    lu_build, lu_solve = work(UnitSolver())
+    gj_build, gj_solve = work(GaussJordanUnitSolver())
+    assert 0 < lu_build < gj_build
+    assert 0 < lu_solve < gj_solve

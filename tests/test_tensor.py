@@ -8,8 +8,8 @@ import random
 import numpy
 import pytest
 
-from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_factorial,
-                            quantum_integer)
+from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_binomial,
+                            quantum_factorial, quantum_integer)
 from qschur.linalg import Echelon, accumulate, mat_nullspace
 from qschur.tableaux import weight
 from qschur import tensor
@@ -265,6 +265,35 @@ def test_weight_projector_property():
                         assert c == ONE
                     elif weight_le(wt, lam):
                         assert c.is_zero()
+
+
+def former_weight_projector(n, m, lam):
+    """The projector with its diagonal scalar computed afresh for each key."""
+    entries = {}
+    for key in ordinary_basis(n, m):
+        wt = weight(key, n)
+        scalar = ONE
+        for i in range(n - 1):
+            a = wt[i] - wt[i + 1]
+            t = lam[i] - lam[i + 1] + m + 1
+            scalar = scalar * quantum_binomial(a + m + 1, t)
+            if scalar.is_zero():
+                break
+        if not scalar.is_zero():
+            entries[(key, key)] = scalar
+    return entries
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_weight_projector_matches_the_per_key_scalars(n, m):
+    for lam in itertools.product(range(m + 1), repeat=n):
+        if sum(lam) != m:
+            continue
+        terms = weight_projector(n, m, lam).terms
+        former = former_weight_projector(n, m, lam)
+        assert terms == former
+        assert list(terms) == list(former)
 
 
 def test_commutant_trivial_cases():
