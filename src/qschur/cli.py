@@ -4,7 +4,8 @@ Subcommands: tableaux | basis | straighten | iota | dims | verify.
 Exit codes: 0 success, 1 failed verification, 2 bad parameters or input.
 Reports are JSON (default) or CSV, written to stdout or --output.
 The suites use the library's constructions only: kernel-Y takes iota from
-mixed.iota and its rank mod p from tensor.rank_mod.
+mixed.iota and its rank mod p from tensor.rank_mod, and certifies the image
+rank by tensor.squeeze, with no exact re-rank.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import qmatrix as qm
 from . import tableaux as tb
 from . import tensor as tn
 from .laurent import LaurentPoly, ONE, neg_q_log, quantum_integer
-from .linalg import Echelon, accumulate
+from .linalg import accumulate
 
 MAX_N, MAX_RS, MAX_M = 3, 2, 4
 
@@ -242,8 +243,8 @@ def suite_walled_relations(p):
     yield _case(ok, **p)
 
 
-def _image_rank_modular(images, n):
-    """Rank of the images at q = tn.Q0 mod tn.P, in normal-word coordinates.
+def _image_rank_modular(images, n, q0=tn.Q0, p=tn.P):
+    """Rank of the images at q = q0 mod p, in normal-word coordinates.
 
     Specializing q can only drop the rank, so this is a lower bound for
     the rank over Q(q).  iota preserves row and column content, so each
@@ -259,9 +260,9 @@ def _image_rank_modular(images, n):
             blocks.setdefault(contents.pop(), []).append(img)
     rank = 0
     for imgs in blocks.values():
-        rank += tn.rank_mod(([(w, c.eval_mod(tn.Q0, tn.P))
+        rank += tn.rank_mod(([(w, c.eval_mod(q0, p))
                               for w, c in img.terms.items()]
-                             for img in imgs), tn.P)
+                             for img in imgs), p)
     return rank
 
 
@@ -274,13 +275,12 @@ def suite_kernel_y(p):
     (mx.iota_respects_starred_relations), so iota(h1 * core * h3) =
     h1 * iota(core) * iota(h3) vanishes on every generator of Y.  The image
     rank of the quotient words then sits in the chain rank_p <= image rank
-    <= quotient dim: the lower step is the rank mod p of the images at
-    q = tn.Q0 (_image_rank_modular), and the upper step holds because iota
-    factors through the exact quotient.  When rank_p meets the quotient
-    dim, that is the image rank.  Otherwise, or if a core is not killed,
-    the images are ranked exactly with an Echelon, in the same normal-word
-    coordinates.  generators is the number of sandwiched relations the
-    quotient was built from.
+    <= quotient dim, which tn.squeeze certifies: the lower step is the rank
+    mod p of the images (_image_rank_modular), and the upper step holds
+    because iota factors through the exact quotient.  Ends that never meet
+    fail the case as uncertified.  If a core is not killed, the case fails
+    and reports the rank at the first specialization.  generators is the
+    number of sandwiched relations the quotient was built from.
     """
     n, r, s = p["n"], p["r"], p["s"]
     quot = mx.quotient(n, r, s)
@@ -292,12 +292,9 @@ def suite_kernel_y(p):
             mx.iota(core, n).is_zero()
             for core in mx.cross_relation_cores(n)))
     dim = quot.dimension()
-    rank = _image_rank_modular(images, n) if killed else None
-    if rank != dim:
-        ech = Echelon()
-        for img in images:
-            ech.insert(dict(img.terms))
-        rank = ech.rank
+    rank = (tn.squeeze(functools.partial(_image_rank_modular, images, n),
+                       lambda q0, prime: dim)
+            if killed else _image_rank_modular(images, n))
     yield _case(killed and rank == dim, **p, generators=quot.generators,
                 image_rank=rank, quotient_dim=dim)
 

@@ -18,9 +18,11 @@ _divided_power).  A dual factor carries the antipode-twisted action.
 
 The commutant equations split into pairs of blocks that the generators
 find themselves: the connected components of their supports.  The modular
-bounds specialize q = Q0 mod P by default, and each rank mod p of sparse
-rows (the commutant equations here, kernel-Y's iota images in the CLI) is
-one call to rank_mod.
+bounds specialize q = q0 mod p, and each rank mod p of sparse rows (the
+commutant equations here, kernel-Y's iota images in the CLI) is one call
+to rank_mod.  A dimension is certified by squeeze: a lower and an upper
+bound at each of the SPECIALIZATIONS in turn, until they meet.  Nothing
+falls back to exact algebra; bounds that never meet are a failed check.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
 from .linalg import Echelon, SparseSum, UnitSolver, accumulate
 from .tableaux import inversions, multi_indices, weight
 
-# the default specialization q = Q0 mod P of the modular bounds
-Q0, P = 3, 67108859
+# the specializations q = q0 mod p that squeeze tries, in order; the first
+# is the default of the modular bounds
+SPECIALIZATIONS = ((3, 67108859), (5, 67108837))
+Q0, P = SPECIALIZATIONS[0]
 
 
 class Endo(SparseSum):
@@ -355,7 +359,8 @@ def _commutant_rows(src, tgt):
 
 
 def commutant_dim(gens, keys):
-    """Dimension of the joint commutant of gens on the given basis.
+    """Dimension of the joint commutant of gens on the given basis (exact;
+    the oracle of commutant_dim_modular in the tests).
 
     The unknown operator decomposes into independent maps between ordered
     pairs of the blocks that gens preserve (_blocks), solved separately.
@@ -389,7 +394,8 @@ def commutant_dim_modular(gens, keys, q0=Q0, p=P):
 
 
 def image_algebra_dim(gens, keys):
-    """Dimension of the unital algebra generated by gens (exact closure)."""
+    """Dimension of the unital algebra generated by gens (exact closure;
+    the oracle of image_algebra_dim_modular in the tests)."""
     keys = list(keys)
     ident = Endo.identity(keys)
     ech = Echelon()
@@ -584,44 +590,39 @@ def image_algebra_dim_modular(gens, keys, q0=Q0, p=P):
     return total
 
 
-def _squeeze(gens, keys, commutant_gens, q0=Q0, p=P, commuting=True):
-    """(commutant dim, image dim) by closure_p <= image <= commutant <=
-    commutant_p.
+def squeeze(lower, upper):
+    """A dimension d certified by lower(q0, p) <= d <= upper(q0, p).
 
-    commuting says that every generator commutes with commutant_gens, so
-    that the image sits inside their commutant.  When the two modular ends
-    meet, that value is both dims.  Otherwise the exact commutant is
-    computed, and the slow exact closure decides the image unless the
-    closure bound already equals that commutant.
+    Both bounds are evaluated at each (q0, p) of SPECIALIZATIONS in turn;
+    the max of the lower ends and the min of the upper ends are still
+    bounds, and d is returned as soon as they meet.  Bounds that never meet
+    raise AssertionError naming both.
     """
-    lower = image_algebra_dim_modular(gens, keys, q0=q0, p=p)
-    if commuting and lower == commutant_dim_modular(
-            commutant_gens, keys, q0=q0, p=p):
-        return lower, lower
-    cdim = commutant_dim(commutant_gens, keys)
-    if commuting and lower == cdim:
-        return cdim, lower
-    return cdim, image_algebra_dim(gens, keys)
+    lo, hi = 0, math.inf
+    for q0, p in SPECIALIZATIONS:
+        lo, hi = max(lo, lower(q0, p)), min(hi, upper(q0, p))
+        if lo == hi:
+            return lo
+    raise AssertionError(f"uncertified: {lo} <= dim <= {hi}")
 
 
-def certified_image_dim(gens, keys, commutant_gens, q0=Q0, p=P):
+def certified_image_dim(gens, keys, commutant_gens):
     """Exact dimension of the unital algebra A generated by gens.
 
-    Certified squeeze closure_p <= dim A <= commutant <= commutant_p.
     Every generator is checked (exactly) to commute with commutant_gens, so
-    A sits inside their commutant.  The modular closure is a lower bound
-    (image_algebra_dim_modular: it closes on the classes of the diagonal
-    generators, whose idempotents 1_C are Lagrange polynomials in them and
-    so lie in A), and the commutant nullity mod p is an upper bound.  When
-    the two ends meet, that value is exact.  Otherwise the exact commutant
-    is tried as the upper bound, and then the slow exact closure decides.
+    A sits inside their commutant; an AssertionError says one does not.
+    Then squeeze certifies closure_p <= dim A <= commutant <= commutant_p.
+    The modular closure is a lower bound (image_algebra_dim_modular: it
+    closes on the classes of the diagonal generators, whose idempotents 1_C
+    are Lagrange polynomials in them and so lie in A), and the commutant
+    nullity mod p is an upper bound.
     """
-    for g in gens:
-        for w in commutant_gens:
-            if not g.commutes_with(w):
-                raise ValueError("generators do not commute with the "
-                                 "proposed commutant generators")
-    return _squeeze(gens, keys, commutant_gens, q0, p)[1]
+    if not all(g.commutes_with(w) for g in gens for w in commutant_gens):
+        raise AssertionError("generators do not commute with the proposed "
+                             "commutant generators")
+    return squeeze(
+        lambda q0, p: image_algebra_dim_modular(gens, keys, q0, p),
+        lambda q0, p: commutant_dim_modular(commutant_gens, keys, q0, p))
 
 
 def pi_restrict(phi, n, r, s):
@@ -656,17 +657,13 @@ def verify_schur_weyl(n, r, s):
     Returns a report dict with the commutant dimension of the walled
     generators, the image dimension of the quantum-group generators, the
     count of standard rational bitableaux, and the dimension of the
-    coefficient quotient; ok is True when all four agree and every
-    quantum-group generator commutes with every walled generator.
+    coefficient quotient; ok is True when all four agree.
 
-    The first two come from the chain closure_p <= image <= commutant <=
-    commutant_p at q = Q0 mod P.  The closure mod p is a lower
-    bound; it runs on the classes of the K_i^(+-1), whose idempotents 1_C
-    are Lagrange polynomials in the K's and so lie in the image (see
-    image_algebra_dim_modular).  The middle step is the exact check that
-    the generators commute, and the commutant nullity mod p is an upper
-    bound.  Only when the two ends differ are the exact commutant_dim and
-    then image_algebra_dim computed.
+    The first two are one number, certified_image_dim: the exact check
+    that every quantum-group generator commutes with every walled
+    generator, then closure_p <= image <= commutant <= commutant_p by
+    squeeze.  If that check or the squeeze fails, both are None, ok is
+    False and error says why.
     """
     from .mixed import quotient, standard_rational_bitableaux
     t0 = time.perf_counter()
@@ -674,12 +671,14 @@ def verify_schur_weyl(n, r, s):
     E, S, Shat = walled_generators(n, r, s)
     walled = ([E] if E is not None else []) + S + Shat
     ugens = [ugen_mixed(n, r, s, g) for g in uprime_generators(n, r + s)]
-    commuting = all(u.commutes_with(w) for u in ugens for w in walled)
-    cdim, idim = _squeeze(ugens, keys, walled, commuting=commuting)
+    report = {"n": n, "r": r, "s": s}
+    try:
+        dim = certified_image_dim(ugens, keys, walled)
+    except AssertionError as exc:
+        dim, report["error"] = None, str(exc)
     count = len(standard_rational_bitableaux(n, r, s))
     qdim = quotient(n, r, s).dimension()
-    ok = commuting and cdim == idim == count == qdim
-    return {"n": n, "r": r, "s": s,
-            "commutant_dim": cdim, "image_dim": idim,
-            "rational_bitableaux": count, "coeff_quotient_dim": qdim,
-            "ok": ok, "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
+    return dict(report, commutant_dim=dim, image_dim=dim,
+                rational_bitableaux=count, coeff_quotient_dim=qdim,
+                ok=dim == count == qdim,
+                elapsed_ms=int((time.perf_counter() - t0) * 1000))

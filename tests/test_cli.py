@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qschur import mixed as mx
 from qschur import qmatrix as qm
 from qschur import cli
+from qschur import tensor as tn
 from qschur.cli import main
 from qschur.laurent import ONE
 from qschur.mixed import (MixedElem, rational_bideterminant,
@@ -55,6 +56,42 @@ def test_dims_reports_four_way_agreement(capsys):
     assert report["ok"]
     assert report["commutant_dim"] == report["image_dim"] == \
         report["rational_bitableaux"] == report["coeff_quotient_dim"] == 10
+
+
+def uncertified(monkeypatch):
+    real = tn.image_algebra_dim_modular
+    monkeypatch.setattr(tn, "image_algebra_dim_modular",
+                        lambda *args: real(*args) - 1)
+
+
+def not_commuting(monkeypatch):
+    real = tn.walled_generators
+
+    def broken(n, r, s):
+        _, S, Shat = real(n, r, s)
+        a, b = tn.mixed_basis(n, r, s)[:2]
+        return tn.Endo({(a, b): ONE}), S, Shat
+
+    monkeypatch.setattr(tn, "walled_generators", broken)
+
+
+@pytest.mark.parametrize("patch, error", [
+    (uncertified, "uncertified: 9 <= dim <= 10"),
+    (not_commuting, "generators do not commute with the proposed "
+                    "commutant generators")])
+def test_dims_reports_a_failed_certificate(patch, error, monkeypatch,
+                                           capsys):
+    patch(monkeypatch)
+    code = main(["dims", "--n", "2", "--r", "1", "--s", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    report = json.loads(out)
+    assert not report["ok"]
+    assert report["error"] == error
+    assert report["commutant_dim"] is report["image_dim"] is None
+    assert report["rational_bitableaux"] == \
+        report["coeff_quotient_dim"] == 10
 
 
 def test_dims_at_3_2_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from qschur import cli
 from qschur import mixed as mx
+from qschur import tensor as tn
 from qschur.laurent import ONE
 from qschur.linalg import Echelon
 from qschur.qmatrix import straighten
@@ -43,12 +44,26 @@ def test_squeeze_matches_the_exact_route(n, r, s):
 
 
 @pytest.mark.parametrize("n, r, s", [(2, 1, 1), (2, 2, 2), (3, 1, 1)])
-def test_a_low_modular_rank_falls_back_to_the_exact_rank(n, r, s,
-                                                         monkeypatch):
+def test_a_low_rank_at_the_first_specialization_is_retried(n, r, s,
+                                                           monkeypatch):
+    real = cli._image_rank_modular
+    first = tn.SPECIALIZATIONS[0]
+    monkeypatch.setattr(cli, "_image_rank_modular",
+                        lambda images, n, q0=tn.Q0, p=tn.P:
+                        real(images, n, q0, p) - ((q0, p) == first))
+    assert kernel_y_case(n, r, s) == exact_route(n, r, s)
+
+
+@pytest.mark.parametrize("n, r, s", [(2, 1, 1), (3, 1, 1)])
+def test_a_rank_low_at_every_specialization_is_uncertified(n, r, s,
+                                                           monkeypatch):
     real = cli._image_rank_modular
     monkeypatch.setattr(cli, "_image_rank_modular",
-                        lambda images, n: real(images, n) - 1)
-    assert kernel_y_case(n, r, s) == exact_route(n, r, s)
+                        lambda *args: real(*args) - 1)
+    case = kernel_y_case(n, r, s)
+    dim = exact_route(n, r, s)["quotient_dim"]
+    assert case == {"n": n, "r": r, "s": s, "ok": False,
+                    "error": f"uncertified: {dim - 1} <= dim <= {dim}"}
 
 
 def test_a_non_relation_is_not_killed(monkeypatch):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import time
 
 import numpy
 import pytest
@@ -627,7 +628,7 @@ def test_modular_commutant_bounds_the_exact_commutant(n, r, s):
         assert commutant_dim_modular(walled, keys, q0=q0, p=p) >= exact
 
 
-def test_the_bounds_are_one_sided_at_a_degenerate_q0():
+def test_the_bounds_are_one_sided_at_a_degenerate_q0(monkeypatch):
     # diag(1, q) generates span{1, g} (dim 2) with the diagonal matrices
     # as commutant (dim 2); at q0 = 1 it is the identity, so the closure
     # drops to 1 and the commutant grows to 4
@@ -636,24 +637,109 @@ def test_the_bounds_are_one_sided_at_a_degenerate_q0():
     assert image_algebra_dim_modular([g], keys, q0=1, p=3) == 1
     assert commutant_dim_modular([g], keys, q0=1, p=3) == 4
     assert image_algebra_dim([g], keys) == commutant_dim([g], keys) == 2
-    # neither end meets the exact commutant, so the exact closure decides
-    assert certified_image_dim([g], keys, [g], q0=1, p=3) == 2
+    assert certified_image_dim([g], keys, [g]) == 2
+    # neither end meets at q0 = 1 alone, and a second specialization
+    # after it decides
+    monkeypatch.setattr(tensor, "SPECIALIZATIONS", ((1, 3),))
+    with pytest.raises(AssertionError, match=r"uncertified: 1 <= dim <= 4"):
+        certified_image_dim([g], keys, [g])
+    monkeypatch.setattr(tensor, "SPECIALIZATIONS", ((1, 3), (3, P)))
     assert certified_image_dim([g], keys, [g]) == 2
 
 
+def forbid_exact_dims(monkeypatch):
+    """Make the exact commutant and closure raise if anything calls them."""
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("an exact dimension was computed")
+    monkeypatch.setattr(tensor, "commutant_dim", forbidden)
+    monkeypatch.setattr(tensor, "image_algebra_dim", forbidden)
+
+
 def test_fallback_when_the_modular_bounds_differ(monkeypatch):
+    # the upper end is one too high at the first specialization only, so
+    # the second one certifies, with no exact dimension computed
     want = {pt: verify_schur_weyl(*pt) for pt in [(2, 1, 1), (2, 2, 1)]}
     keys, hecke, gens = ordinary_point(2, 3)
     want_image = certified_image_dim(gens, keys, hecke)
     real = tensor.commutant_dim_modular
+    first = tensor.SPECIALIZATIONS[0]
     monkeypatch.setattr(tensor, "commutant_dim_modular",
-                        lambda *a, **k: real(*a, **k) + 1)
+                        lambda gens, keys, q0, p: real(gens, keys, q0, p)
+                        + ((q0, p) == first))
+    forbid_exact_dims(monkeypatch)
     for pt, rep in want.items():
         got = verify_schur_weyl(*pt)
         assert got["ok"]
         got.pop("elapsed_ms"), rep.pop("elapsed_ms")
         assert got == rep
     assert certified_image_dim(gens, keys, hecke) == want_image
+
+
+def test_an_uncertified_point_fails_without_exact_algebra(monkeypatch):
+    # at (3,1,1) the exact closure takes minutes; bounds that never meet
+    # must fail the check at once, naming both ends
+    real = tensor.image_algebra_dim_modular
+    monkeypatch.setattr(tensor, "image_algebra_dim_modular",
+                        lambda *args: real(*args) - 1)
+    forbid_exact_dims(monkeypatch)
+    t0 = time.perf_counter()
+    rep = verify_schur_weyl(3, 1, 1)
+    assert time.perf_counter() - t0 < 10
+    assert not rep["ok"]
+    assert rep["error"] == "uncertified: 64 <= dim <= 65"
+    assert rep["commutant_dim"] is rep["image_dim"] is None
+    assert rep["rational_bitableaux"] == rep["coeff_quotient_dim"] == 65
+
+
+def test_generators_that_do_not_commute_fail_without_exact_algebra(
+        monkeypatch):
+    # E replaced by a map between keys of different weights, which the K's
+    # do not commute with
+    real = tensor.walled_generators
+
+    def broken(n, r, s):
+        _, S, Shat = real(n, r, s)
+        a, b = mixed_basis(n, r, s)[:2]
+        return Endo({(a, b): ONE}), S, Shat
+
+    monkeypatch.setattr(tensor, "walled_generators", broken)
+    forbid_exact_dims(monkeypatch)
+    t0 = time.perf_counter()
+    rep = verify_schur_weyl(3, 1, 1)
+    assert time.perf_counter() - t0 < 10
+    assert not rep["ok"]
+    assert rep["error"] == ("generators do not commute with the proposed "
+                            "commutant generators")
+    assert rep["commutant_dim"] is rep["image_dim"] is None
+
+
+def test_the_specializations_are_usable_certificates():
+    for q0, p in tensor.SPECIALIZATIONS:
+        tensor._check_modulus(q0, p)
+        # _matmul_mod's chunks stay 2,048 columns wide
+        assert (2 ** 63 - 1) // (p - 1) ** 2 >= 2048
+        # q0 is far from a root of unity of small order
+        assert all(pow(q0, k, p) != 1 for k in range(1, 1000))
+    assert tensor.SPECIALIZATIONS[0] == (tensor.Q0, tensor.P)
+
+
+def test_the_second_specialization_alone_certifies(monkeypatch):
+    # the retry is a working certificate: on its own, the second entry
+    # certifies every schur-weyl suite point and the ordinary images
+    want = {pt: verify_schur_weyl(*pt) for pt in SUITE_POINTS}
+    ordinary = [ordinary_point(n, m) for n, m in ((2, 2), (2, 3), (3, 2))]
+    want_images = [certified_image_dim(gens, keys, hecke)
+                   for keys, hecke, gens in ordinary]
+    monkeypatch.setattr(tensor, "SPECIALIZATIONS",
+                        tensor.SPECIALIZATIONS[1:2])
+    forbid_exact_dims(monkeypatch)
+    for pt, rep in want.items():
+        got = verify_schur_weyl(*pt)
+        assert got["ok"]
+        got.pop("elapsed_ms"), rep.pop("elapsed_ms")
+        assert got == rep
+    assert [certified_image_dim(gens, keys, hecke)
+            for keys, hecke, gens in ordinary] == want_images == [10, 20, 45]
 
 
 @pytest.mark.parametrize("q0, p", [
@@ -664,14 +750,15 @@ def test_fallback_when_the_modular_bounds_differ(monkeypatch):
     (7, 7),            # q0 = 0 mod p is not invertible
     (0, 5),
 ])
-def test_bad_specialization_raises(q0, p):
+def test_bad_specialization_raises(q0, p, monkeypatch):
     keys, hecke, gens = ordinary_point(3, 2)
     with pytest.raises(ValueError):
         image_algebra_dim_modular(gens, keys, q0=q0, p=p)
     with pytest.raises(ValueError):
         commutant_dim_modular(hecke, keys, q0=q0, p=p)
+    monkeypatch.setattr(tensor, "SPECIALIZATIONS", ((q0, p),))
     with pytest.raises(ValueError):
-        certified_image_dim(gens, keys, hecke, q0=q0, p=p)
+        certified_image_dim(gens, keys, hecke)
 
 
 def test_largest_admissible_prime():
