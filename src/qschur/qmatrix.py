@@ -10,6 +10,13 @@ rewrite rules
     x_ij x_kl -> x_kl x_ij                   (i > k, j < l)
     x_ij x_kl -> x_kl x_ij - (q - q^-1) x_kj x_il   (i > k, j > l)
 
+The system is confluent (its sorted words are a PBW basis), so any order
+of reduction reaches the same normal form.  A word is normalized by
+insertion: its sorted prefix, then one letter at a time into each normal
+word so far.  No rule makes a letter above the larger one it rewrites, so
+for u = head y with y > x, NF(u x) = c NF(head x) y, plus the extra term's
+NF(NF(head x_kj) x_il) when i > k, j > l; the pairs (u, x) are memoized.
+
 The twisted variant with q replaced by q^-1 throughout (used for the
 starred generators of the mixed algebra) is obtained by flipping a single
 parameter.
@@ -34,35 +41,48 @@ class Rewriter:
     def __init__(self, qexp=1):
         self.swap_coeff = LaurentPoly.q(-qexp)          # q^-1 (or q)
         self.extra_coeff = -(LaurentPoly.q(qexp) - LaurentPoly.q(-qexp))
-        self.cache = {}
+        self.cache = {}     # word asked for -> its normal form
+        self.inserts = {}   # (normal word u, letter x < u[-1]) -> NF(u x)
 
     def normal_word(self, word):
-        """Normal form of a single word as a dict normal-word -> coeff."""
+        """Normal form of a single word as a dict normal-word -> coeff.
+
+        The result is cached and shared: do not modify it.
+        """
         hit = self.cache.get(word)
         if hit is not None:
             return hit
-        p = -1
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                p = t
-                break
-        if p < 0:
-            result = {word: ONE}
-            self.cache[word] = result
-            return result
-        (i, j), (k, l) = word[p], word[p + 1]
-        swapped = word[:p] + ((k, l), (i, j)) + word[p + 2:]
-        if i == k or j == l:
-            terms = [(self.swap_coeff, swapped)]
-        elif j < l:
-            terms = [(ONE, swapped)]
-        else:
-            extra = word[:p] + ((k, j), (i, l)) + word[p + 2:]
-            terms = [(ONE, swapped), (self.extra_coeff, extra)]
-        result = {}
-        for coeff, w in terms:
-            accumulate(result, self.normal_word(w).items(), coeff)
+        p = 1
+        while p < len(word) and word[p - 1] <= word[p]:
+            p += 1
+        result = {word[:p]: ONE}
+        for x in word[p:]:
+            out = {}
+            for u, c in result.items():
+                accumulate(out, self._insert(u, x).items(), c)
+            result = out
         self.cache[word] = result
+        return result
+
+    def _insert(self, u, x):
+        """Normal form of u x for a normal word u and a letter x."""
+        if not u or u[-1] <= x:
+            return {u + (x,): ONE}
+        hit = self.inserts.get((u, x))
+        if hit is not None:
+            return hit
+        head, y = u[:-1], u[-1]
+        (i, j), (k, l) = y, x
+        # y x -> c x y (+ extra (k, j)(i, l)); no rule makes a letter above
+        # the larger one it rewrites, so every word of NF(head x) is <= y
+        c = self.swap_coeff if i == k or j == l else ONE
+        result = accumulate({}, ((w + (y,), v) for w, v
+                                 in self._insert(head, x).items()), c)
+        if i > k and j > l:
+            for w, v in self._insert(head, (k, j)).items():
+                accumulate(result, self._insert(w, (i, l)).items(),
+                           v * self.extra_coeff)
+        self.inserts[u, x] = result
         return result
 
     def normal_form(self, terms):

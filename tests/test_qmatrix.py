@@ -2,11 +2,16 @@
 
 import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qschur import cli
 from qschur import qmatrix as qm
 from qschur.laurent import LaurentPoly, ONE, neg_q_power
-from qschur.linalg import Echelon
-from qschur.qmatrix import (STARRED, AlgebraElem, bideterminant,
+from qschur.linalg import Echelon, accumulate
+from qschur.mixed import MixedElem
+from qschur.qmatrix import (PLAIN, STARRED, AlgebraElem, bideterminant,
                             laplace_expand, monomial_basis, multiply,
                             quantum_det, quantum_minor_left,
                             quantum_minor_right, standard_bitableaux,
@@ -212,3 +217,98 @@ def test_from_json_sums_repeated_words():
     term = {"word": [[1, 2]], "coeff": {"0": "1"}}
     elem = AlgebraElem.from_json([term, term])
     assert elem.terms == {((1, 2),): LaurentPoly.from_int(2)}
+
+
+def _former_normal_word(rewriter, word, memo):
+    """The whole-word recursion that normal_word replaced, kept as an
+    oracle: swap the first descent, recurse on each resulting word, and
+    memoize every word met (one stack frame per inversion)."""
+    hit = memo.get(word)
+    if hit is not None:
+        return hit
+    p = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), -1)
+    if p < 0:
+        memo[word] = {word: ONE}
+        return memo[word]
+    (i, j), (k, l) = word[p], word[p + 1]
+    swapped = word[:p] + ((k, l), (i, j)) + word[p + 2:]
+    if i == k or j == l:
+        terms = [(rewriter.swap_coeff, swapped)]
+    elif j < l:
+        terms = [(ONE, swapped)]
+    else:
+        extra = word[:p] + ((k, j), (i, l)) + word[p + 2:]
+        terms = [(ONE, swapped), (rewriter.extra_coeff, extra)]
+    result = {}
+    for coeff, w in terms:
+        accumulate(result, _former_normal_word(rewriter, w, memo).items(),
+                   coeff)
+    memo[word] = result
+    return result
+
+
+_FORMER_MEMOS = {PLAIN: {}, STARRED: {}}
+
+
+@st.composite
+def _words(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    letter = st.tuples(st.integers(1, n), st.integers(1, n))
+    return tuple(draw(st.lists(letter, max_size=8)))
+
+
+@given(_words(), st.sampled_from((PLAIN, STARRED)))
+@settings(max_examples=300, deadline=None)
+def test_insertion_matches_the_whole_word_recursion(word, rewriter):
+    want = _former_normal_word(rewriter, word, _FORMER_MEMOS[rewriter])
+    fresh = qm.Rewriter(1 if rewriter is PLAIN else -1)
+    assert fresh.normal_word(word) == want
+    assert rewriter.normal_word(word) == want
+
+
+# 1,600 inversions: far past Python's recursion limit for a rewriter that
+# recursed once per inversion
+DEEP = ((2, 1),) * 40 + ((1, 2),) * 40
+DEEP_NORMAL = ((1, 2),) * 40 + ((2, 1),) * 40
+
+
+@pytest.mark.parametrize("terms, normal", [
+    (lambda: PLAIN.normal_word(DEEP), DEEP_NORMAL),
+    (lambda: STARRED.normal_word(DEEP), DEEP_NORMAL),
+    (lambda: AlgebraElem({DEEP: ONE}).terms, DEEP_NORMAL),
+    (lambda: MixedElem({(DEEP, DEEP): ONE}).terms, (DEEP_NORMAL, DEEP_NORMAL)),
+], ids=["plain", "starred", "algebra-elem", "mixed-elem"])
+def test_a_deep_word_normalizes(terms, normal):
+    assert terms() == {normal: ONE}
+
+
+def test_the_word_memo_holds_only_the_words_asked_for():
+    rewriter = qm.Rewriter(1)
+    word = ((3, 3), (2, 1), (3, 1), (1, 2), (2, 3), (1, 1), (3, 2), (2, 2))
+    nf = rewriter.normal_word(word)
+    assert list(rewriter.cache) == [word]
+    assert rewriter.cache[word] is nf
+    assert rewriter.inserts
+    for u, x in rewriter.inserts:
+        assert list(u) == sorted(u) and x < u[-1]
+
+
+def _memo_snapshot():
+    return {(rw, name, key): (nf, {w: dict(c.terms) for w, c in nf.items()})
+            for rw in (PLAIN, STARRED)
+            for name in ("cache", "inserts")
+            for key, nf in getattr(rw, name).items()}
+
+
+def test_the_suites_leave_every_memoized_normal_form_unchanged():
+    for n in (2, 3):
+        for a, b in standard_bitableaux(n, 3):
+            bideterminant(a, b)
+            bideterminant(a, b, qexp=-1)
+    before = _memo_snapshot()
+    assert len(before) > 1000
+    for suite in ("pbw", "hecke-relations", "jacobi", "phi-iota"):
+        assert all(case["ok"] for case in cli.SUITES[suite]())
+    for (rw, name, key), (nf, terms) in before.items():
+        assert getattr(rw, name)[key] is nf
+        assert {w: dict(c.terms) for w, c in nf.items()} == terms
