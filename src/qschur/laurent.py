@@ -238,8 +238,8 @@ def accumulate(acc, items, coeff=None):
     get = acc.get
     if coeff is not None and type(coeff) is not LaurentPoly:
         # the fraction-field oracle (linalg.SpanSolver, mat_nullspace)
-        # passes RationalFn coefficients; this branch goes when they move
-        # to the tests (ROADMAP item 4)
+        # passes RationalFn coefficients; this branch goes when RationalFn,
+        # SpanSolver and mat_nullspace move from src/ to the tests
         for k, v in items:
             v = coeff * v
             t = get(k)

@@ -361,21 +361,16 @@ def rational_basis(n, r, s):
 def c_exponent(rt, rt2, k, n, s):
     """The exponent c with iota(rational bidet) = (-q)^c (t|t').
 
-    (t|t') is the bideterminant of the images of rt and rt2 under the
-    tableau correspondence.  c is read at a word whose coefficient in
-    (t|t') is a unit, and the identity is then checked exactly between
-    normal forms; a failure raises AssertionError.
+    (t, t') are the images of rt and rt2 under the tableau correspondence.
+    c is read off the straightened iota image, which must be the one term
+    (-q)^c on (t, t').  Every straightening block is certified unimodular
+    and solves only with a zero residual, so that single term is the exact
+    identity; anything else raises AssertionError.
     """
-    img = iota(rational_bideterminant(rt, rt2, k, n), n)
-    bidet = bideterminant(rational_to_ordinary(rt, n, s),
-                          rational_to_ordinary(rt2, n, s))
-    w = next((w for w, c in bidet.terms.items() if c.is_unit()), None)
-    if w is None:
-        raise AssertionError("bideterminant has no unit coefficient")
-    sign, e = bidet.terms[w].unit_decompose()
-    c = neg_q_log(img.terms.get(w, LaurentPoly.zero())
-                  * LaurentPoly.q(-e, sign))
-    if c is None or img != bidet.scale(neg_q_power(c)):
+    pair = (rational_to_ordinary(rt, n, s), rational_to_ordinary(rt2, n, s))
+    expansion = straighten(iota(rational_bideterminant(rt, rt2, k, n), n), n)
+    c = neg_q_log(expansion[pair]) if expansion.keys() == {pair} else None
+    if c is None:
         raise AssertionError(
             "iota image is not a power of -q times the bideterminant")
     return c

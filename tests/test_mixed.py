@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from qschur import mixed
-from qschur.laurent import LaurentPoly, ONE, neg_q_log
+from qschur import mixed, qmatrix
+from qschur.laurent import LaurentPoly, ONE, neg_q_log, neg_q_power
 from qschur.linalg import Echelon, accumulate
 from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           check_straightening_shift,
@@ -19,9 +19,9 @@ from qschur.mixed import (MixedElem, c_exponent, check_detk,
                           standard_rational_bitableaux,
                           violating_instance_data)
 from qschur.qmatrix import (AlgebraElem, bideterminant, monomial_basis,
-                            multiply, quantum_det, straighten)
+                            multiply, quantum_det, standard_bitableaux)
 from qschur.tableaux import (Tableau, enumerate_standard_rational,
-                             rational_to_ordinary)
+                             rational_to_ordinary, weight)
 
 
 def test_mixed_halves_commute_against_plain_model():
@@ -250,23 +250,29 @@ RATIONAL_BASIS_POINTS = [(n, r, s) for n in (2, 3) for r in range(3)
                          for s in range(3) if r + s]
 
 
-def c_by_straightening(rt, rt2, k, n, s):
-    """c read off the straightened iota image, which must be the one
-    standard pair of the images of rt and rt2 times a power of -q."""
+def c_by_unit_word(rt, rt2, k, n, s):
+    """The former route to c, without straightening: build (t|t'), read c
+    at a word whose coefficient in (t|t') is a unit, and compare the
+    normal forms of iota(b) and (-q)^c (t|t')."""
     img = iota(rational_bideterminant(rt, rt2, k, n), n)
-    ((t, t2), coeff), = straighten(img, n).items()
-    assert (t, t2) == (rational_to_ordinary(rt, n, s),
-                       rational_to_ordinary(rt2, n, s))
-    c = neg_q_log(coeff)
+    bidet = bideterminant(rational_to_ordinary(rt, n, s),
+                          rational_to_ordinary(rt2, n, s))
+    w = next(w for w, c in bidet.terms.items() if c.is_unit())
+    sign, e = bidet.terms[w].unit_decompose()
+    c = neg_q_log(img.terms.get(w, LaurentPoly.zero())
+                  * LaurentPoly.q(-e, sign))
     assert c is not None
+    assert img == bidet.scale(neg_q_power(c))
     return c
 
 
 @pytest.mark.parametrize("n, r, s", RATIONAL_BASIS_POINTS)
 def test_c_exponent_matches_the_straightened_image(n, r, s):
+    # c_exponent reads c off the straightened image; the oracle is the
+    # unit-word route, which never straightens
     for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
         assert c_exponent(rt, rt2, k, n, s) == \
-            c_by_straightening(rt, rt2, k, n, s)
+            c_by_unit_word(rt, rt2, k, n, s)
 
 
 def drop_term(img, pos):
@@ -294,14 +300,46 @@ def test_c_exponent_rejects_a_corrupted_image(corrupt, monkeypatch):
         c_exponent.__wrapped__(rt, rt2, k, n, s)
 
 
-def test_c_exponent_needs_a_unit_coefficient(monkeypatch):
+@pytest.mark.parametrize("beside", [False, True],
+                         ids=["alone", "beside-the-image"])
+def test_c_exponent_rejects_another_pair_of_the_same_content(beside,
+                                                             monkeypatch):
+    # (-q)^c (u|u') for another standard pair of the block of (t, t'):
+    # alone it is a single-term expansion on the wrong pair, beside the
+    # true image it leaves the coefficient of (t, t') intact
     n, r, s = 2, 1, 1
-    k, rt, rt2 = standard_rational_bitableaux(n, r, s)[-1]
-    real = mixed.bideterminant
-    monkeypatch.setattr(mixed, "bideterminant",
-                        lambda t, t2: real(t, t2).scale(2))
-    with pytest.raises(AssertionError, match="no unit coefficient"):
+
+    def content(pair):
+        return [weight(t.entries(), n) for t in pair]
+
+    for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
+        pair = (rational_to_ordinary(rt, n, s),
+                rational_to_ordinary(rt2, n, s))
+        others = [other for other in standard_bitableaux(n, r + (n - 1) * s)
+                  if other != pair and content(other) == content(pair)]
+        if others:
+            break
+    c = c_exponent(rt, rt2, k, n, s)
+    wrong = bideterminant(*others[0]).scale(neg_q_power(c))
+    real = mixed.iota
+    monkeypatch.setattr(mixed, "iota", lambda a, n: wrong + real(a, n)
+                        if beside else wrong)
+    with pytest.raises(AssertionError, match="not a power of -q"):
         c_exponent.__wrapped__(rt, rt2, k, n, s)
+
+
+def test_a_warm_c_exponent_builds_no_bideterminant(monkeypatch):
+    n, r, s = 2, 2, 1
+    k, rt, rt2 = standard_rational_bitableaux(n, r, s)[-1]
+    c = c_exponent.__wrapped__(rt, rt2, k, n, s)
+    calls = []
+    for module in (qmatrix, mixed):
+        def counted(*args, real=module.bideterminant, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "bideterminant", counted)
+    assert c_exponent.__wrapped__(rt, rt2, k, n, s) == c
+    assert calls == []
 
 
 def test_phi_inverts_iota_on_basis():
