@@ -405,13 +405,15 @@ def suite_rational_basis(p):
 
 @_suite("phi-iota", keep=lambda p: p["r"] + p["s"] > 0)
 def suite_phi_iota(p):
-    """phi inverts iota on every standard rational bideterminant."""
+    """phi inverts iota on every standard rational bideterminant b: one
+    straightening, rational_straighten(b), must be the single term 1 on b.
+    That certifies iota(b) = (-q)^c (t|t') with c = mx.c_exponent(rt, rt2),
+    and phi(iota(b)) = b exactly; a dropped shape raises AssertionError."""
     n, r, s = p["n"], p["r"], p["s"]
-    quot = mx.quotient(n, r, s)
     count, ok = 0, True
     for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
         b = mx.rational_bideterminant(rt, rt2, k, n)
-        if not quot.is_coset_zero(mx.phi(mx.iota(b, n), n, r, s) - b):
+        if mx.rational_straighten(b, n, r, s) != {(k, rt, rt2): ONE}:
             ok = False
         count += 1
     yield _case(ok, **p, basis_elements=count)

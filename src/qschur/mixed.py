@@ -21,13 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .laurent import LaurentPoly, ONE, neg_q_log, neg_q_power
+from .laurent import LaurentPoly, ONE, neg_q_power
 from .linalg import Echelon, SparseSum, accumulate
 from .qmatrix import (AlgebraElem, PLAIN, STARRED, bideterminant,
                       monomial_basis, multiply, quantum_det,
                       quantum_minor_right, straighten)
-from .tableaux import (enumerate_standard_rational, ordinary_to_rational,
-                       rational_to_ordinary)
+from .tableaux import enumerate_standard_rational, ordinary_to_rational
 
 
 class MixedElem(SparseSum):
@@ -224,8 +223,8 @@ def starred_bideterminant(t, t2):
 def rational_bideterminant(rt, rt2, k, n):
     """(left|left') dfrak^(k) (right|right')* for same-shape rational pairs.
 
-    The result is cached and shared (phi, c_exponent and the rational
-    basis each meet the same elements): do not modify it.
+    The result is cached and shared (phi, the phi-iota suite and the
+    rational basis each meet the same elements): do not modify it.
     """
     if rt.shapes() != rt2.shapes():
         raise ValueError("rational bitableau halves must have equal shapes")
@@ -357,23 +356,19 @@ def rational_basis(n, r, s):
 
 # -- c exponents, phi and rational straightening -------------------------
 
-@functools.cache
-def c_exponent(rt, rt2, k, n, s):
-    """The exponent c with iota(rational bidet) = (-q)^c (t|t').
+def c_exponent(rt, rt2):
+    """The c with iota(b) = (-q)^c (t|t'): sum(rt2.right) - sum(rt.right).
 
-    (t, t') are the images of rt and rt2 under the tableau correspondence.
-    c is read off the straightened iota image, which must be the one term
-    (-q)^c on (t, t').  Every straightening block is certified unimodular
-    and solves only with a zero residual, so that single term is the exact
-    identity; anything else raises AssertionError.
+    b is the rational bideterminant of (rt, rt2) and (t, t') their images
+    under the tableau correspondence.  iota is multiplicative on starred
+    words (iota_respects_starred_relations); iota((R|C)*) = (-q)^(sum C -
+    sum R) det^(|R|-1) (R'|C') (jacobi_check); iota(dfrak^(k)) = det^k and
+    det is central; and the complements of the right half's rows come, in
+    the starred bideterminant's forward order, as rows s, ..., 1 of t, the
+    reversed order in which bideterminant multiplies.  The phi-iota suite
+    certifies the identity by one straightening of iota(b).
     """
-    pair = (rational_to_ordinary(rt, n, s), rational_to_ordinary(rt2, n, s))
-    expansion = straighten(iota(rational_bideterminant(rt, rt2, k, n), n), n)
-    c = neg_q_log(expansion[pair]) if expansion.keys() == {pair} else None
-    if c is None:
-        raise AssertionError(
-            "iota image is not a power of -q times the bideterminant")
-    return c
+    return sum(rt2.right.entries()) - sum(rt.right.entries())
 
 
 # _to_rational meets the same few tableaux in every expansion
@@ -384,8 +379,8 @@ def _to_rational(expansion, n, r, s):
     """Map a standard bideterminant expansion to rational bitableau pairs.
 
     (t|t') of shape lam with sum(lam[:s]) >= (n-1)s goes to the (k, rt, rt2)
-    whose iota image is (-q)^c (t|t'), its coefficient times (-q)^(-c);
-    other shapes are dropped.
+    whose iota image is (-q)^c (t|t'), c = c_exponent(rt, rt2), with its
+    coefficient times (-q)^(-c); other shapes are dropped.
     """
     out = {}
     for (t, t2), coeff in expansion.items():
@@ -394,8 +389,7 @@ def _to_rational(expansion, n, r, s):
         rt = _ordinary_to_rational(t, n, s)
         rt2 = _ordinary_to_rational(t2, n, s)
         k = r - rt.left.size()
-        c = c_exponent(rt, rt2, k, n, s)
-        out[(k, rt, rt2)] = coeff * neg_q_power(-c)
+        out[(k, rt, rt2)] = coeff * neg_q_power(-c_exponent(rt, rt2))
     return out
 
 
@@ -404,7 +398,8 @@ def phi(a, n, r, s):
 
     Straightens a homogeneous element of degree r+(n-1)s and returns the
     sum of the rational bideterminants of the terms that _to_rational
-    keeps, a MixedElem of bidegree (r, s): phi(iota(b)) - b lies in Y.
+    keeps, a MixedElem of bidegree (r, s): phi(iota(a)) - a lies in Y,
+    and phi(iota(b)) = b for a standard rational bideterminant b.
     """
     if not a.is_zero() and a.degree() != r + (n - 1) * s:
         raise ValueError("degree must be r + (n-1)s")

@@ -264,14 +264,14 @@ def test_a_dependent_rational_basis_fails_its_points(monkeypatch, capsys):
 
 
 def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
-    real = mx.c_exponent
+    real = mx.rational_straighten
 
-    def c_exponent(rt, rt2, k, n, s):
+    def rational_straighten(a, n, r, s):
         if s == 1:
             raise AssertionError("iota image is not a power of -q times "
                                  "the bideterminant")
-        return real(rt, rt2, k, n, s)
-    monkeypatch.setattr(mx, "c_exponent", c_exponent)
+        return real(a, n, r, s)
+    monkeypatch.setattr(mx, "rational_straighten", rational_straighten)
     passed, failed = failed_certificate(capsys, "phi-iota", "--n", "2")
     # the points after a failed one still run
     assert [(c["r"], c["s"]) for c in passed] == \
@@ -284,18 +284,39 @@ def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
 
 def test_an_internal_fault_fails_its_point_only(monkeypatch, capsys):
     # not bad input (exit 2): the fault fails its points, the rest still run
-    real = mx.c_exponent
+    real = mx.rational_straighten
 
-    def c_exponent(rt, rt2, k, n, s):
+    def rational_straighten(a, n, r, s):
         if s == 1:
             raise KeyError("internal")
-        return real(rt, rt2, k, n, s)
-    monkeypatch.setattr(mx, "c_exponent", c_exponent)
+        return real(a, n, r, s)
+    monkeypatch.setattr(mx, "rational_straighten", rational_straighten)
     passed, failed = failed_certificate(capsys, "phi-iota", "--n", "2")
     assert [(c["r"], c["s"]) for c in passed] == \
         [(0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
     assert [(c["r"], c["s"], c["error"]) for c in failed] == [
         (r, 1, "internal fault: KeyError: 'internal'") for r in (0, 1, 2)]
+
+
+def test_phi_iota_builds_no_quotient(monkeypatch):
+    # one straightening per basis element certifies phi(iota(b)) = b, with
+    # no quotient: at (2,3,3) the exact quotient takes about 40 s to build
+    calls = []
+    real_init, real_quotient = mx.MixedQuotient.__init__, mx.quotient
+
+    def init(self, *args):
+        calls.append(args)
+        real_init(self, *args)
+
+    def quotient(*args):
+        calls.append(args)
+        return real_quotient(*args)
+    monkeypatch.setattr(mx.MixedQuotient, "__init__", init)
+    monkeypatch.setattr(mx, "quotient", quotient)
+    cases = cli.suite_phi_iota([{"n": 2, "r": 3, "s": 3}])
+    assert cases == [{"n": 2, "r": 3, "s": 3, "basis_elements": 84,
+                      "ok": True}]
+    assert calls == []
 
 
 def test_an_inhomogeneous_iota_image_fails_its_points(monkeypatch, capsys):

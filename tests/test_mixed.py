@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qschur import mixed, qmatrix
+from qschur import cli, mixed, qmatrix
 from qschur.laurent import LaurentPoly, ONE, neg_q_log, neg_q_power
 from qschur.linalg import Echelon, accumulate
 from qschur.mixed import (MixedElem, c_exponent, check_detk,
@@ -238,11 +238,11 @@ def test_a_shape_outside_the_rational_condition(monkeypatch):
 
 
 def test_c_exponent_form():
-    # every standard rational bideterminant maps to a signed q power times
-    # a single standard bideterminant (the assertion lives inside)
+    # every standard rational bideterminant has an integer c; the oracles
+    # below check iota(b) = (-q)^c (t|t')
     for n, r, s in ((2, 1, 1), (2, 2, 1), (3, 1, 1)):
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
-            c = c_exponent(rt, rt2, k, n, s)
+            c = c_exponent(rt, rt2)
             assert isinstance(c, int)
 
 
@@ -268,11 +268,34 @@ def c_by_unit_word(rt, rt2, k, n, s):
 
 @pytest.mark.parametrize("n, r, s", RATIONAL_BASIS_POINTS)
 def test_c_exponent_matches_the_straightened_image(n, r, s):
-    # c_exponent reads c off the straightened image; the oracle is the
-    # unit-word route, which never straightens
+    # c_exponent is the closed form; the oracle is the unit-word route,
+    # which builds (t|t') and compares normal forms
     for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
-        assert c_exponent(rt, rt2, k, n, s) == \
-            c_by_unit_word(rt, rt2, k, n, s)
+        assert c_exponent(rt, rt2) == c_by_unit_word(rt, rt2, k, n, s)
+
+
+def c_by_straightening(rt, rt2, k, n, s):
+    """The former route to c: straighten iota(b), which must be the one
+    term (-q)^c on the standard pair (t, t')."""
+    pair = (rational_to_ordinary(rt, n, s), rational_to_ordinary(rt2, n, s))
+    expansion = qmatrix.straighten(
+        iota(rational_bideterminant(rt, rt2, k, n), n), n)
+    assert expansion.keys() == {pair}
+    c = neg_q_log(expansion[pair])
+    assert c is not None
+    return c
+
+
+@pytest.mark.parametrize("n, r, s", [(2, 3, 3), (3, 2, 2), (3, 3, 1)])
+def test_c_exponent_matches_the_straightening_off_the_suite_grid(n, r, s):
+    for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
+        assert c_exponent(rt, rt2) == c_by_straightening(rt, rt2, k, n, s)
+
+
+def phi_iota_fails(n=2, r=1, s=1):
+    """Whether the phi-iota suite fails a case at (n, r, s)."""
+    cases = cli.suite_phi_iota([{"n": n, "r": r, "s": s}])
+    return any(not case["ok"] for case in cases)
 
 
 def drop_term(img, pos):
@@ -292,12 +315,11 @@ def drop_term(img, pos):
     ids=["doubled", "negated", "times-q+q^-1", "extra-term", "first-dropped",
          "last-dropped"])
 def test_c_exponent_rejects_a_corrupted_image(corrupt, monkeypatch):
-    n, r, s = 2, 1, 1
-    k, rt, rt2 = standard_rational_bitableaux(n, r, s)[-1]
+    # the phi-iota suite certifies iota(b) = (-q)^c (t|t') for c_exponent
+    assert not phi_iota_fails()
     real = mixed.iota
     monkeypatch.setattr(mixed, "iota", lambda a, n: corrupt(real(a, n)))
-    with pytest.raises(AssertionError):
-        c_exponent.__wrapped__(rt, rt2, k, n, s)
+    assert phi_iota_fails()
 
 
 @pytest.mark.parametrize("beside", [False, True],
@@ -319,26 +341,27 @@ def test_c_exponent_rejects_another_pair_of_the_same_content(beside,
                   if other != pair and content(other) == content(pair)]
         if others:
             break
-    c = c_exponent(rt, rt2, k, n, s)
-    wrong = bideterminant(*others[0]).scale(neg_q_power(c))
+    wrong = bideterminant(*others[0]).scale(neg_q_power(c_exponent(rt, rt2)))
     real = mixed.iota
     monkeypatch.setattr(mixed, "iota", lambda a, n: wrong + real(a, n)
                         if beside else wrong)
-    with pytest.raises(AssertionError, match="not a power of -q"):
-        c_exponent.__wrapped__(rt, rt2, k, n, s)
+    assert phi_iota_fails(n, r, s)
 
 
 def test_a_warm_c_exponent_builds_no_bideterminant(monkeypatch):
+    # the closed form straightens nothing and builds nothing
     n, r, s = 2, 2, 1
     k, rt, rt2 = standard_rational_bitableaux(n, r, s)[-1]
-    c = c_exponent.__wrapped__(rt, rt2, k, n, s)
+    c = c_by_unit_word(rt, rt2, k, n, s)
     calls = []
     for module in (qmatrix, mixed):
-        def counted(*args, real=module.bideterminant, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, "bideterminant", counted)
-    assert c_exponent.__wrapped__(rt, rt2, k, n, s) == c
+        for name in ("straighten", "iota", "bideterminant"):
+            if hasattr(module, name):
+                def counted(*args, real=getattr(module, name), **kwargs):
+                    calls.append(args)
+                    return real(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    assert c_exponent(rt, rt2) == c
     assert calls == []
 
 
