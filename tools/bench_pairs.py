@@ -3,9 +3,9 @@
 Run from the root of the change's checkout:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --pairs N [--first-seed S] [--out FILE]
+        --pairs N [--out FILE]
 
-Pair p (p = S, ..., S+N-1; S defaults to 1) runs
+Pair p (p = 1, ..., N) runs
 
     python3 perfbench/run.py --workload W --seed p --seconds RUN_SECONDS \
         --trace 0
@@ -108,13 +108,12 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--out")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     runs, stopped = [], False
-    for pair in range(args.first_seed, args.first_seed + args.pairs):
+    for pair in range(1, args.pairs + 1):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
         for side in order:
             code, elapsed, result = run_once(
