@@ -243,13 +243,13 @@ def suite_walled_relations(p):
     yield _case(ok, **p)
 
 
-def _image_rank_modular(images, n, q0=tn.Q0, p=tn.P):
+def _image_rank_modular(images, n, q0, p):
     """Rank of the images at q = q0 mod p, in normal-word coordinates.
 
     Specializing q can only drop the rank, so this is a lower bound for
     the rank over Q(q).  iota preserves row and column content, so each
     image lies in one content block; blocks have disjoint columns and
-    their ranks (tn.rank_mod) add up.
+    their ranks (tn.rank_mod) add up.  (q0, p) is a tn.SPECIALIZATIONS entry.
     """
     blocks = {}
     for img in images:
@@ -294,7 +294,8 @@ def suite_kernel_y(p):
     dim = quot.dimension()
     rank = (tn.squeeze(functools.partial(_image_rank_modular, images, n),
                        lambda q0, prime: dim)
-            if killed else _image_rank_modular(images, n))
+            if killed else _image_rank_modular(images, n,
+                                               *tn.SPECIALIZATIONS[0]))
     yield _case(killed and rank == dim, **p, generators=quot.generators,
                 image_rank=rank, quotient_dim=dim)
 
@@ -449,11 +450,11 @@ def suite_kappa_equivariance(p):
 def suite_weight_projectors(p):
     """Projector scalars and image equality with the enlarged generator set."""
     n, m = p["n"], p["m"]
-    comps = [c for c in itertools.product(range(m + 1), repeat=n)
-             if sum(c) == m]
+    projectors = {lam: tn.weight_projector(n, m, lam)
+                  for lam in itertools.product(range(m + 1), repeat=n)
+                  if sum(lam) == m}
     ok = True
-    for lam in comps:
-        u = tn.weight_projector(n, m, lam)
+    for lam, u in projectors.items():
         for key in tn.ordinary_basis(n, m):
             wt = tb.weight(key, n)
             c = u.terms.get((key, key), LaurentPoly.zero())
@@ -467,7 +468,7 @@ def suite_weight_projectors(p):
     extra = [tn.ugen_ordinary(n, m, ("qh", tuple(
         1 if t == j else 0 for t in range(n))))
         for j in range(n)]
-    extra += [tn.weight_projector(n, m, lam) for lam in comps]
+    extra += projectors.values()
     d1 = tn.certified_image_dim(base, keys, hecke)
     d2 = tn.certified_image_dim(base + extra, keys, hecke)
     yield _case(ok and d1 == d2, **p, image_dim=d1, enlarged_image_dim=d2)

@@ -1,9 +1,10 @@
 """Exact arithmetic in Z[q, q^-1]: Laurent polynomials, quantum integers.
 
-Every coefficient in this package lives in the ring Z[q, q^-1] or in its
-fraction field (see :mod:`qschur.linalg`).  Laurent polynomials are kept in
-canonical sparse form: a dict from integer exponent to nonzero integer
-coefficient.  Only this module builds that dict.
+Every coefficient the package computes with lives in the ring Z[q, q^-1].
+The fraction field appears only in the tests' oracle, in
+:mod:`qschur.linalg`, which has its own arithmetic.  Laurent polynomials
+are kept in canonical sparse form: a dict from integer exponent to nonzero
+integer coefficient.  Only this module builds that dict.
 
 Laurent values are immutable and shared: no operation writes into the
 ``terms`` of an existing value, so a sum or a product may hold the very
@@ -236,20 +237,6 @@ def accumulate(acc, items, coeff=None):
       is one, and an entry whose sum is zero is deleted.
     """
     get = acc.get
-    if coeff is not None and type(coeff) is not LaurentPoly:
-        # the fraction-field oracle (linalg.SpanSolver, mat_nullspace)
-        # passes RationalFn coefficients; this branch goes when RationalFn,
-        # SpanSolver and mat_nullspace move from src/ to the tests
-        for k, v in items:
-            v = coeff * v
-            t = get(k)
-            if t is not None:
-                v = t + v
-            if v.is_zero():
-                acc.pop(k, None)
-            else:
-                acc[k] = v
-        return acc
     ct = {0: 1} if coeff is None else coeff.terms
     mono = len(ct) == 1
     if mono:

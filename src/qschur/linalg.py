@@ -17,8 +17,7 @@ Three engines are provided:
   certificate is that of reduced row echelon form with combination
   tracking: the same pivots, the same "no unit pivot" error on the same
   rows, the same solutions.  It is the engine of ordinary straightening,
-  hence of rational straightening through iota, and of
-  ``tensor.pi_restrict``.
+  hence of rational straightening through iota.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
   with combination tracking, the one tracked elimination of the package.
   It serves only :func:`mat_nullspace`, the nullspace basis over the
@@ -26,14 +25,16 @@ Three engines are provided:
   :class:`RationalFn`, and no computation of the package calls them.
 
 Vectors are dicts from a sortable column key to a nonzero entry.  Every
-sparse sum and every whole-row scaling in the package is built with
-:func:`accumulate`, the Laurent multiply-add kernel of :mod:`qschur.laurent`
-re-exported here: it adds coeff * v into a dict for each (key, v), dropping
-the entries that cancel.  A coefficient 1 (or None) stores v itself, a
-monomial +-c*q^e shifts and scales v, and a general polynomial multiplies
-v straight into the sum.  Laurent values are immutable and shared between
-rows, so no engine writes into an entry's terms.  The element classes of
-the algebras and of tensor space share the arithmetic of
+sparse sum and every whole-row scaling of Laurent values in the package is
+built with :func:`accumulate`, the Laurent multiply-add kernel of
+:mod:`qschur.laurent` re-exported here: it adds coeff * v into a dict for
+each (key, v), dropping the entries that cancel.  A coefficient 1 (or
+None) stores v itself, a monomial +-c*q^e shifts and scales v, and a
+general polynomial multiplies v straight into the sum.  SpanSolver's rows
+of fractions are summed by their own loop, :func:`_add_scaled`, so the
+kernel never sees a RationalFn.  Laurent values are immutable and shared
+between rows, so no engine writes into an entry's terms.  The element
+classes of the algebras and of tensor space share the arithmetic of
 :class:`SparseSum`.
 """
 
@@ -223,6 +224,21 @@ def _coerce(x):
     return NotImplemented
 
 
+def _add_scaled(acc, items, coeff):
+    """accumulate over the fraction field, for SpanSolver: coeff and the
+    values are RationalFn."""
+    for k, v in items:
+        v = coeff * v
+        t = acc.get(k)
+        if t is not None:
+            v = t + v
+        if v.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = v
+    return acc
+
+
 def _strip_content(v):
     """Divide a Laurent row dict by its joint integer content."""
     g = 0
@@ -398,8 +414,8 @@ class SpanSolver:
         for pc, row, rcombo in self.rows:
             coeff = v.get(pc)
             if coeff is not None:
-                accumulate(v, row.items(), -coeff)
-                accumulate(combo, rcombo.items(), -coeff)
+                _add_scaled(v, row.items(), -coeff)
+                _add_scaled(combo, rcombo.items(), -coeff)
         return v, combo
 
     def insert(self, v):
@@ -418,8 +434,8 @@ class SpanSolver:
         for _, row0, combo0 in self.rows:
             coeff = row0.get(pc)
             if coeff is not None:
-                accumulate(row0, v.items(), -coeff)
-                accumulate(combo0, combo.items(), -coeff)
+                _add_scaled(row0, v.items(), -coeff)
+                _add_scaled(combo0, combo.items(), -coeff)
         self.rows.append((pc, v, combo))
         return True
 

@@ -117,9 +117,6 @@ class AlgebraElem(SparseSum):
     def generator(i, j):
         return AlgebraElem({((i, j),): ONE}, normalized=True)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def degree(self):
         """Degree if homogeneous, else raise."""
         degs = {len(w) for w in self.terms}
@@ -142,11 +139,11 @@ class AlgebraElem(SparseSum):
                 for w, c in sorted(self.terms.items())]
 
     @staticmethod
-    def from_json(obj, rewriter=PLAIN):
+    def from_json(obj):
         terms = accumulate({}, ((tuple(tuple(x) for x in item["word"]),
                                  LaurentPoly.from_json(item["coeff"]))
                                 for item in obj))
-        return AlgebraElem(terms, rewriter=rewriter)
+        return AlgebraElem(terms)
 
 
 def multiply(a, b, rewriter=PLAIN):

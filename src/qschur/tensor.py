@@ -33,13 +33,12 @@ import math
 import time
 
 from .laurent import LaurentPoly, ONE, neg_q_power, quantum_binomial
-from .linalg import Echelon, SparseSum, UnitSolver, accumulate
+from .linalg import Echelon, SparseSum, accumulate
 from .tableaux import inversions, multi_indices, weight
 
-# the specializations q = q0 mod p that squeeze tries, in order; the first
-# is the default of the modular bounds
+# the specializations q = q0 mod p that squeeze tries, in order: the one
+# source of a specialization in the package
 SPECIALIZATIONS = ((3, 67108859), (5, 67108837))
-Q0, P = SPECIALIZATIONS[0]
 
 
 class Endo(SparseSum):
@@ -377,13 +376,13 @@ def commutant_dim(gens, keys):
     return total
 
 
-def commutant_dim_modular(gens, keys, q0=Q0, p=P):
+def commutant_dim_modular(gens, keys, q0, p):
     """Upper bound for commutant_dim: the same equations at q = q0 mod p.
 
     The commutant is the null space of the rows of _commutant_rows, and
     specializing q can only drop the rank of those rows, so the nullity
     mod p (by rank_mod, one call per block pair) is a certified upper bound
-    for the exact dimension.
+    for the exact dimension; squeeze takes (q0, p) from SPECIALIZATIONS.
     """
     _check_modulus(q0, p)
     blocks = _blocks([{k: v.eval_mod(q0, p) for k, v in g.terms.items()}
@@ -522,13 +521,14 @@ def rank_mod(rows, p):
     return ech.rank
 
 
-def image_algebra_dim_modular(gens, keys, q0=Q0, p=P):
+def image_algebra_dim_modular(gens, keys, q0, p):
     """Lower bound for image_algebra_dim: the same closure at q = q0 mod p.
 
     Specializing q can only drop the dimension, so the result is a certified
-    lower bound for the exact dimension.  The closure runs on blocks.  The
-    generators whose residue matrices are diagonal split the basis into
-    classes C of equal joint eigenvalues, and each idempotent 1_C is a
+    lower bound for the exact dimension; squeeze takes (q0, p) from
+    SPECIALIZATIONS.  The closure runs on blocks.  The generators whose
+    residue matrices are diagonal split the basis into classes C of equal
+    joint eigenvalues, and each idempotent 1_C is a
     Lagrange polynomial in those generators: the product over them of
     (g - c')/(c - c') for each other eigenvalue c' of g.  So 1_C lies in the
     specialized algebra A for every q0 and p, and A is the direct sum of
@@ -623,30 +623,6 @@ def certified_image_dim(gens, keys, commutant_gens):
     return squeeze(
         lambda q0, p: image_algebra_dim_modular(gens, keys, q0, p),
         lambda q0, p: commutant_dim_modular(commutant_gens, keys, q0, p))
-
-
-def pi_restrict(phi, n, r, s):
-    """Restrict an operator on the plain space to the embedded mixed space.
-
-    Solves phi(kappa(v_src)) = sum_tgt lam[src, tgt] kappa(v_tgt) exactly
-    over Z[q,q^-1]: the kappa rows have disjoint supports and entries
-    +-q^k, so they build a unit-pivot solver.  Raises ValueError if the
-    image of the embedding is not preserved.
-    """
-    kap = kappa_mixed(n, r, s)
-    keys = mixed_basis(n, r, s)
-    solver = UnitSolver()
-    for key in keys:
-        solver.insert(kap.row(key))
-    composed = kap.then(phi)
-    entries = {}
-    for key in keys:
-        combo = solver.solve(composed.row(key))
-        if combo is None:
-            raise ValueError("operator does not preserve the embedded image")
-        for pos, coeff in combo.items():
-            entries[(key, keys[pos])] = coeff
-    return Endo(entries)
 
 
 # -- the end-to-end verification ----------------------------------------------

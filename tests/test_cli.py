@@ -319,6 +319,21 @@ def test_phi_iota_builds_no_quotient(monkeypatch):
     assert calls == []
 
 
+def test_weight_projectors_builds_each_projector_once(monkeypatch):
+    # the scalar checks and the enlarged generator set share one build of
+    # each projector: 9 compositions at n = 2 and 19 at n = 3, m = 1, 2, 3
+    built = []
+    real = tn.weight_projector
+
+    def counting(n, m, lam):
+        built.append((n, m, lam))
+        return real(n, m, lam)
+    monkeypatch.setattr(tn, "weight_projector", counting)
+    cases = cli.suite_weight_projectors()
+    assert len(cases) == 6 and all(c["ok"] for c in cases)
+    assert len(built) == len(set(built)) == 28
+
+
 def test_an_inhomogeneous_iota_image_fails_its_points(monkeypatch, capsys):
     # every word its own content: an image of two words is inhomogeneous
     monkeypatch.setattr(qm, "word_content", lambda word, n: word)

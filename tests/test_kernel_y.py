@@ -49,7 +49,7 @@ def test_a_low_rank_at_the_first_specialization_is_retried(n, r, s,
     real = cli._image_rank_modular
     first = tn.SPECIALIZATIONS[0]
     monkeypatch.setattr(cli, "_image_rank_modular",
-                        lambda images, n, q0=tn.Q0, p=tn.P:
+                        lambda images, n, q0, p:
                         real(images, n, q0, p) - ((q0, p) == first))
     assert kernel_y_case(n, r, s) == exact_route(n, r, s)
 
@@ -111,4 +111,5 @@ def test_images_of_mixed_content_are_rejected():
     imgs = [mx.iota(mx.MixedElem({w: ONE}, normalized=True), 2)
             for w in mx.quotient(2, 1, 0).words[:2]]
     with pytest.raises(AssertionError):
-        cli._image_rank_modular([imgs[0] + imgs[1]], 2)
+        cli._image_rank_modular([imgs[0] + imgs[1]], 2,
+                                *tn.SPECIALIZATIONS[0])

@@ -347,6 +347,42 @@ def test_spansolver_skips_dependent_rows():
     assert combo[0] == RationalFn(LaurentPoly.q(1))
 
 
+def test_the_fraction_field_oracle_stays_off_the_laurent_kernel(
+        monkeypatch):
+    # SpanSolver sums its rows of fractions with its own loop: it never
+    # calls linalg.accumulate, and laurent.accumulate, which the Laurent
+    # numerators and denominators of RationalFn go through, never gets a
+    # fraction
+    kernel = laurent.accumulate
+    calls = {"linalg": 0, "laurent": 0, "with a fraction": 0}
+
+    def counting(name):
+        def spy(acc, items, coeff=None):
+            items = list(items)
+            calls[name] += 1
+            calls["with a fraction"] += any(
+                isinstance(x, RationalFn)
+                for x in [coeff, *acc.values(), *(v for _, v in items)])
+            return kernel(acc, items, coeff)
+        return spy
+
+    monkeypatch.setattr(laurent, "accumulate", counting("laurent"))
+    monkeypatch.setattr(linalg, "accumulate", counting("linalg"))
+    q = LaurentPoly.q(1)
+    rows = [{0: q + ONE, 1: ONE, 2: q}, {0: ONE, 1: q, 2: ONE + q},
+            {0: q + 2 * ONE, 1: ONE + q, 2: 2 * q + ONE}]
+    solver = SpanSolver(rows)
+    assert solver.rank == 2
+    # rows[0] + q rows[1]
+    v = {0: 2 * q + ONE, 1: ONE + q * q, 2: 2 * q + q * q}
+    assert solver.solve(v) == {0: RationalFn.one(), 1: RationalFn(q)}
+    (vec,) = mat_nullspace(rows, 3)
+    assert all(sum((RationalFn(x) * vec[c] for c, x in row.items()),
+                   RationalFn.zero()).is_zero() for row in rows)
+    assert calls["linalg"] == calls["with a fraction"] == 0
+    assert calls["laurent"] > 0
+
+
 def test_unitsolver_solves_over_the_laurent_ring():
     q = LaurentPoly.q(1)
     solver = UnitSolver()

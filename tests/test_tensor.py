@@ -19,7 +19,7 @@ from qschur.tensor import (Endo, _matmul_mod, certified_image_dim,
                            hecke_generator, image_algebra_dim,
                            image_algebra_dim_modular, k_vector, kappa,
                            kappa_mixed, mixed_basis, ordinary_basis,
-                           pi_restrict, rank_mod, ugen_mixed, ugen_on_kinds,
+                           rank_mod, ugen_mixed, ugen_on_kinds,
                            ugen_ordinary, uprime_generators,
                            verify_schur_weyl, walled_generators, weight_le,
                            weight_projector)
@@ -212,13 +212,14 @@ def test_kappa_anchors():
 
 
 def test_kappa_equivariance():
-    for n in (2, 3):
-        for r, s in ((0, 1), (1, 1), (2, 1)):
-            kap = kappa_mixed(n, r, s)
-            m = r + (n - 1) * s
-            for g in uprime_generators(n, r + s):
-                assert kap.then(ugen_ordinary(n, m, g)) == \
-                    ugen_mixed(n, r, s, g).then(kap)
+    for n, r, s in itertools.product((2, 3), range(3), range(3)):
+        if r + s == 0:
+            continue
+        kap = kappa_mixed(n, r, s)
+        m = r + (n - 1) * s
+        for g in uprime_generators(n, r + s):
+            assert kap.then(ugen_ordinary(n, m, g)) == \
+                ugen_mixed(n, r, s, g).then(kap)
 
 
 def test_bicommutation():
@@ -229,27 +230,6 @@ def test_bicommutation():
             for g in uprime_generators(n, r + s):
                 u = ugen_mixed(n, r, s, g)
                 assert all(u.commutes_with(w) for w in walled)
-
-
-def test_pi_restrict_recovers_mixed_action():
-    for n, r, s in itertools.product((2, 3), range(3), range(3)):
-        if r + s == 0:
-            continue
-        m = r + (n - 1) * s
-        for g in uprime_generators(n, r + s):
-            big = ugen_ordinary(n, m, g)
-            assert pi_restrict(big, n, r, s) == ugen_mixed(n, r, s, g)
-
-
-def test_pi_restrict_rejects_non_invariant_operator():
-    # a raw position swap does not preserve the embedded mixed space
-    # (n=3 so that the embedding is into a strictly larger space)
-    n, r, s = 3, 1, 1
-    m = r + (n - 1) * s  # = 3
-    keys = ordinary_basis(n, m)
-    swap = Endo({(k, (k[1], k[0], k[2])): ONE for k in keys})
-    with pytest.raises(ValueError):
-        pi_restrict(swap, n, r, s)
 
 
 def test_weight_projector_property():
@@ -338,7 +318,8 @@ def test_image_algebra_exact_matches_modular():
     gens = [ugen_ordinary(n, m, g) for g in uprime_generators(n, m)]
     exact = image_algebra_dim(gens, keys)
     assert exact == 10
-    assert image_algebra_dim_modular(gens, keys) == exact
+    assert image_algebra_dim_modular(
+        gens, keys, *tensor.SPECIALIZATIONS[0]) == exact
 
 
 def test_certified_image_dim_ordinary():
@@ -509,7 +490,7 @@ def ordinary_point(n, m, projectors=False):
 SUITE_POINTS = [(2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1), (2, 1, 0),
                 (2, 2, 0)]
 BENCH_POINTS = [(3, 2, 1), (3, 1, 2), (4, 1, 1), (2, 2, 2)]
-# the default prime with q0 = 3, q0 = 1 in characteristic 3, and the
+# the package's first specialization, q0 = 1 in characteristic 3, and the
 # roots of unity -1 mod 7 and i mod 5, where the K's do not separate weights
 SPECIALIZATIONS = [(3, P), (1, 3), (6, 7), (2, 5)]
 
@@ -519,7 +500,8 @@ SPECIALIZATIONS = [(3, P), (1, 3), (6, 7), (2, 5)]
                                      (2, 1, 0), (2, 2, 0)])
 def test_block_closure_matches_exact_closure_mixed(n, r, s):
     keys, _, ugens = mixed_point(n, r, s)
-    assert image_algebra_dim_modular(ugens, keys) == \
+    assert image_algebra_dim_modular(
+        ugens, keys, *tensor.SPECIALIZATIONS[0]) == \
         image_algebra_dim(ugens, keys)
 
 
@@ -527,7 +509,8 @@ def test_block_closure_matches_exact_closure_mixed(n, r, s):
                          [(2, 2, False), (2, 3, False), (2, 2, True)])
 def test_block_closure_matches_exact_closure_ordinary(n, m, projectors):
     keys, _, gens = ordinary_point(n, m, projectors)
-    assert image_algebra_dim_modular(gens, keys) == \
+    assert image_algebra_dim_modular(
+        gens, keys, *tensor.SPECIALIZATIONS[0]) == \
         image_algebra_dim(gens, keys)
 
 
@@ -623,7 +606,8 @@ def test_modular_commutant_bounds_the_exact_commutant(n, r, s):
     keys, walled, _ = mixed_point(n, r, s)
     exact = unblocked_commutant_dim(walled, keys)
     assert commutant_dim(walled, keys) == exact
-    assert commutant_dim_modular(walled, keys) == exact
+    assert commutant_dim_modular(
+        walled, keys, *tensor.SPECIALIZATIONS[0]) == exact
     for q0, p in SPECIALIZATIONS[1:]:
         assert commutant_dim_modular(walled, keys, q0=q0, p=p) >= exact
 
@@ -720,7 +704,6 @@ def test_the_specializations_are_usable_certificates():
         assert (2 ** 63 - 1) // (p - 1) ** 2 >= 2048
         # q0 is far from a root of unity of small order
         assert all(pow(q0, k, p) != 1 for k in range(1, 1000))
-    assert tensor.SPECIALIZATIONS[0] == (tensor.Q0, tensor.P)
 
 
 def test_the_second_specialization_alone_certifies(monkeypatch):
@@ -766,5 +749,5 @@ def test_largest_admissible_prime():
     # _matmul_mod multiplies one column at a time
     keys, hecke, gens = ordinary_point(2, 2)
     p = 3037000493
-    assert image_algebra_dim_modular(gens, keys, p=p) == 10
-    assert commutant_dim_modular(hecke, keys, p=p) == 10
+    assert image_algebra_dim_modular(gens, keys, q0=3, p=p) == 10
+    assert commutant_dim_modular(hecke, keys, q0=3, p=p) == 10
