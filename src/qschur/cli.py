@@ -21,7 +21,8 @@ from . import mixed as mx
 from . import qmatrix as qm
 from . import tableaux as tb
 from . import tensor as tn
-from .laurent import LaurentPoly, ONE, neg_q_log, quantum_integer
+from .laurent import (LaurentPoly, ONE, neg_q_log, neg_q_power,
+                      quantum_integer)
 from .linalg import accumulate
 
 MAX_N, MAX_RS, MAX_M = 3, 2, 4
@@ -277,15 +278,18 @@ def suite_kernel_y(p):
     rank of the quotient words then sits in the chain rank_p <= image rank
     <= quotient dim, which tn.squeeze certifies: the lower step is the rank
     mod p of the images (_image_rank_modular), and the upper step holds
-    because iota factors through the exact quotient.  Ends that never meet
-    fail the case as uncertified.  If a core is not killed, the case fails
-    and reports the rank at the first specialization.  generators is the
-    number of sandwiched relations the quotient was built from.
+    because iota factors through the exact quotient.  The quotient's
+    Echelon is fully reduced, so the words outside its pivot columns span
+    the quotient, and only their images are ranked: a rank of some of the
+    images is still a lower end.  Ends that never meet fail the case as
+    uncertified.  If a core is not killed, the case fails and reports the
+    rank at the first specialization.  generators is the number of
+    sandwiched relations the quotient was built from.
     """
     n, r, s = p["n"], p["r"], p["s"]
     quot = mx.quotient(n, r, s)
     images = [mx.iota(mx.MixedElem({w: ONE}, normalized=True), n)
-              for w in quot.words]
+              for w in quot.words if w not in quot.echelon.pivots]
     # Y is 0 unless r, s >= 1
     killed = not quot.generators or (
         mx.iota_respects_starred_relations(n) and all(
@@ -406,15 +410,28 @@ def suite_rational_basis(p):
 
 @_suite("phi-iota", keep=lambda p: p["r"] + p["s"] > 0)
 def suite_phi_iota(p):
-    """phi inverts iota on every standard rational bideterminant b: one
-    straightening, rational_straighten(b), must be the single term 1 on b.
-    That certifies iota(b) = (-q)^c (t|t') with c = mx.c_exponent(rt, rt2),
-    and phi(iota(b)) = b exactly; a dropped shape raises AssertionError."""
+    """phi inverts iota on every standard rational bideterminant b.
+
+    For each (k, rt, rt2), with (t, t') the images of (rt, rt2) under
+    tb.rational_to_ordinary and c = mx.c_exponent(rt, rt2), the normal
+    forms of iota(b) and (-q)^c (t|t') must be equal; a failed comparison
+    fails the case.  That is the identity iota(b) = (-q)^c (t|t'), exactly.
+    phi(iota(b)) = b follows: (t|t') is a standard bideterminant, so it
+    straightens to itself, and the bijection suite certifies
+    ordinary_to_rational(t) = rt.  Nothing is straightened here.
+    """
     n, r, s = p["n"], p["r"], p["s"]
+    bitableaux = mx.standard_rational_bitableaux(n, r, s)
+    # each rational tableau is mapped once per point
+    ordinary = {}
+    for _, rt, _ in bitableaux:
+        if rt not in ordinary:
+            ordinary[rt] = tb.rational_to_ordinary(rt, n, s)
     count, ok = 0, True
-    for k, rt, rt2 in mx.standard_rational_bitableaux(n, r, s):
+    for k, rt, rt2 in bitableaux:
         b = mx.rational_bideterminant(rt, rt2, k, n)
-        if mx.rational_straighten(b, n, r, s) != {(k, rt, rt2): ONE}:
+        bidet = qm.bideterminant(ordinary[rt], ordinary[rt2])
+        if mx.iota(b, n) != bidet.scale(neg_q_power(mx.c_exponent(rt, rt2))):
             ok = False
         count += 1
     yield _case(ok, **p, basis_elements=count)

@@ -366,7 +366,8 @@ def c_exponent(rt, rt2):
     det is central; and the complements of the right half's rows come, in
     the starred bideterminant's forward order, as rows s, ..., 1 of t, the
     reversed order in which bideterminant multiplies.  The phi-iota suite
-    certifies the identity by one straightening of iota(b).
+    certifies the identity by comparing the normal forms of iota(b) and
+    (-q)^c (t|t').
     """
     return sum(rt2.right.entries()) - sum(rt.right.entries())
 

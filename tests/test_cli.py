@@ -263,15 +263,23 @@ def test_a_dependent_rational_basis_fails_its_points(monkeypatch, capsys):
                "independent" for c in failed)
 
 
-def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
-    real = mx.rational_straighten
+def raise_in_iota_at_s_1(monkeypatch, exc):
+    """Make mx.iota raise exc on elements of bidegree (r, 1): phi-iota
+    compares iota(b) with (-q)^c (t|t'), so its faults go in there."""
+    real = mx.iota
 
-    def rational_straighten(a, n, r, s):
-        if s == 1:
-            raise AssertionError("iota image is not a power of -q times "
-                                 "the bideterminant")
-        return real(a, n, r, s)
-    monkeypatch.setattr(mx, "rational_straighten", rational_straighten)
+    def iota(a, n):
+        # every term of b has s starred letters
+        _, starred = next(iter(a.terms))
+        if len(starred) == 1:
+            raise exc
+        return real(a, n)
+    monkeypatch.setattr(mx, "iota", iota)
+
+
+def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
+    raise_in_iota_at_s_1(monkeypatch, AssertionError(
+        "iota image is not a power of -q times the bideterminant"))
     passed, failed = failed_certificate(capsys, "phi-iota", "--n", "2")
     # the points after a failed one still run
     assert [(c["r"], c["s"]) for c in passed] == \
@@ -284,13 +292,7 @@ def test_a_failed_c_exponent_fails_its_point_only(monkeypatch, capsys):
 
 def test_an_internal_fault_fails_its_point_only(monkeypatch, capsys):
     # not bad input (exit 2): the fault fails its points, the rest still run
-    real = mx.rational_straighten
-
-    def rational_straighten(a, n, r, s):
-        if s == 1:
-            raise KeyError("internal")
-        return real(a, n, r, s)
-    monkeypatch.setattr(mx, "rational_straighten", rational_straighten)
+    raise_in_iota_at_s_1(monkeypatch, KeyError("internal"))
     passed, failed = failed_certificate(capsys, "phi-iota", "--n", "2")
     assert [(c["r"], c["s"]) for c in passed] == \
         [(0, 2), (1, 0), (1, 2), (2, 0), (2, 2)]
@@ -299,8 +301,9 @@ def test_an_internal_fault_fails_its_point_only(monkeypatch, capsys):
 
 
 def test_phi_iota_builds_no_quotient(monkeypatch):
-    # one straightening per basis element certifies phi(iota(b)) = b, with
-    # no quotient: at (2,3,3) the exact quotient takes about 40 s to build
+    # one normal-form comparison per basis element, iota(b) against
+    # (-q)^c (t|t'), certifies phi(iota(b)) = b with no quotient: at (2,3,3)
+    # the exact quotient takes about 40 s to build
     calls = []
     real_init, real_quotient = mx.MixedQuotient.__init__, mx.quotient
 
@@ -317,6 +320,24 @@ def test_phi_iota_builds_no_quotient(monkeypatch):
     assert cases == [{"n": 2, "r": 3, "s": 3, "basis_elements": 84,
                       "ok": True}]
     assert calls == []
+
+
+def test_phi_iota_straightens_nothing(monkeypatch):
+    # the normal-form comparison needs no straightening block
+    calls = []
+    real = qm.straighten
+
+    def straighten(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(qm, "straighten", straighten)
+    monkeypatch.setattr(mx, "straighten", straighten)
+    # an empty block cache for the run, so that any block built shows
+    monkeypatch.setattr(qm._STRAIGHTEN, "solvers", {})
+    cases = cli.suite_phi_iota([{"n": 3, "r": 2, "s": 1}])
+    assert [c["ok"] for c in cases] == [True]
+    assert calls == []
+    assert qm._STRAIGHTEN.solvers == {}
 
 
 def test_weight_projectors_builds_each_projector_once(monkeypatch):

@@ -156,14 +156,6 @@ def test_detk_check_matches_the_former_sandwich_check(n, middle,
     assert former_check_detk(n, 1) is want
 
 
-def test_rational_basis_expansion_is_identity_on_basis():
-    n, r, s = 2, 1, 1
-    for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
-        b = rational_bideterminant(rt, rt2, k, n)
-        expansion = rational_straighten(b, n, r, s)
-        assert expansion == {(k, rt, rt2): ONE}
-
-
 def test_rational_straighten_unit_denominators():
     for n, r, s in ((2, 1, 1), (2, 2, 1), (2, 1, 2), (3, 1, 1)):
         for word in quotient(n, r, s).words:
@@ -250,6 +242,15 @@ RATIONAL_BASIS_POINTS = [(n, r, s) for n in (2, 3) for r in range(3)
                          for s in range(3) if r + s]
 
 
+def test_rational_basis_expansion_is_identity_on_basis():
+    # the straightening route, the oracle of the phi-iota suite's
+    # normal-form comparison: each b straightens to the single term 1 on b
+    for n, r, s in RATIONAL_BASIS_POINTS + [(4, 1, 1)]:
+        for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
+            b = rational_bideterminant(rt, rt2, k, n)
+            assert rational_straighten(b, n, r, s) == {(k, rt, rt2): ONE}
+
+
 def c_by_unit_word(rt, rt2, k, n, s):
     """The former route to c, without straightening: build (t|t'), read c
     at a word whose coefficient in (t|t') is a unit, and compare the
@@ -280,8 +281,8 @@ def phi_iota_fails(n=2, r=1, s=1):
     return any(not case["ok"] for case in cases)
 
 
-# the phi-iota suite straightens iota(b) once and needs the single term
-# (-q)^c on (t, t') with c from c_exponent; (2, 3, 3) runs in test_cli
+# the phi-iota suite compares the normal forms of iota(b) and (-q)^c (t|t')
+# with c from c_exponent; (2, 3, 3) runs in test_cli
 @pytest.mark.parametrize("n, r, s", [(3, 2, 2), (3, 3, 1), (4, 1, 1),
                                      (4, 2, 1)])
 def test_c_exponent_matches_the_straightening_off_the_suite_grid(n, r, s):
