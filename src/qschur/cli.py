@@ -101,12 +101,14 @@ def restrict(points, **given):
 
 
 SUITES = {}
+GUARDS = {}
 
 
 def _suite(name, keep=lambda p: True):
-    """Register gen, which yields the cases of one point, as suite name.
-    The suite takes points (by default POINTS[name]), drops those its guard
-    keep rejects, and returns the cases gen yields for the rest, in order.
+    """Register gen, which yields the cases of one point, as suite name,
+    and keep as its guard in GUARDS.  The suite takes points (by default
+    POINTS[name]), drops those keep rejects, and returns the cases gen
+    yields for the rest, in order.
 
     A point whose check raises gets a case with ok false: a certificate
     that fails by raising AssertionError gives its message as error, and
@@ -126,6 +128,7 @@ def _suite(name, keep=lambda p: True):
                     cases.append(_case(False, **p, error=error))
             return cases
         SUITES[name] = suite
+        GUARDS[name] = keep
         return suite
     return register
 
@@ -321,16 +324,12 @@ def suite_jacobi(p):
 
 @_suite("detk")
 def suite_detk(p):
-    """Sandwich congruences around dfrak^(k), and iota(dfrak^(k)) = det^k,
-    at k = 1."""
-    k = 1
+    """Sandwich congruences around dfrak^(1) (mx.check_detk), and
+    iota(dfrak^(1)) = det; the report gives k = 1."""
     n = p["n"]
-    img = mx.iota(mx.det_frak(k, n), n)
-    det_pow = qm.AlgebraElem.one()
-    for _ in range(k):
-        det_pow = qm.multiply(det_pow, qm.quantum_det(n))
-    ok = img == det_pow and mx.check_detk(n, k)
-    yield _case(ok, **p, k=k)
+    ok = (mx.iota(mx.det_frak(1, n), n) == qm.quantum_det(n)
+          and mx.check_detk(n))
+    yield _case(ok, **p, k=1)
 
 
 @_suite("straightening-lemmas")
@@ -398,8 +397,9 @@ def suite_rational_basis(p):
     sample_cap = 60
     n, r, s = p["n"], p["r"], p["s"]
     basis = mx.rational_basis(n, r, s)
-    dim = mx.quotient(n, r, s).dimension()
-    words = mx.quotient(n, r, s).words[:sample_cap]
+    quot = mx.quotient(n, r, s)
+    dim = quot.dimension()
+    words = quot.words[:sample_cap]
     for word in words:
         # an expansion leaving the basis raises AssertionError
         mx.rational_straighten(mx.MixedElem({word: ONE}, normalized=True),
@@ -644,29 +644,24 @@ def cmd_verify(args):
     names = args.suite
     if not names:
         raise ParamError("verify needs a suite name (or 'all')")
-    if "all" in names:
-        names = list(SUITES)
     for name in names:
-        if name not in SUITES:
+        if name != "all" and name not in SUITES:
             raise ParamError(f"unknown suite: {name}")
-    reports = [run_suite(name, n=args.n, r=args.r, s=args.s, m=args.m)
-               for name in dict.fromkeys(names)]
-    for rep in reports:
-        if not rep["cases"]:
-            raise ParamError(f"no case of suite {rep['suite']} matches "
+    names = list(SUITES) if "all" in names else list(dict.fromkeys(names))
+    for name in names:
+        points = restrict(POINTS[name], n=args.n, r=args.r, s=args.s,
+                          m=args.m)
+        if not any(map(GUARDS[name], points)):
+            raise ParamError(f"no case of suite {name} matches "
                              "--n/--r/--s/--m")
+    reports = [run_suite(name, n=args.n, r=args.r, s=args.s, m=args.m)
+               for name in names]
     reports.sort(key=lambda rep: rep["suite"])
     ok = all(rep["ok"] for rep in reports)
     return (0 if ok else 1), {"ok": ok, "suites": reports}
 
 
 # -- output -------------------------------------------------------------------
-
-def _flatten(value):
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True)
-    return value
-
 
 def _to_csv(report):
     import csv
@@ -684,7 +679,9 @@ def _to_csv(report):
     writer = csv.DictWriter(out, fieldnames=fields)
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _flatten(v) for k, v in row.items()})
+        writer.writerow({k: json.dumps(v, sort_keys=True)
+                         if isinstance(v, (dict, list)) else v
+                         for k, v in row.items()})
     return out.getvalue()
 
 
@@ -711,7 +708,9 @@ def _add_common(p, *, m=False):
                    dest="unsafe_large")
 
 
+@functools.cache
 def build_parser():
+    """The parser, built on first use and then reused."""
     parser = argparse.ArgumentParser(
         prog="qschur",
         description="Exact quantized coordinate algebras, rational "
@@ -755,14 +754,8 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """The parser, built on first use and then reused."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code, report = args.func(args)
         _emit(report, args)

@@ -129,13 +129,15 @@ def cross_relation_cores(n):
 
 def _sandwiches(cores, n, r, s):
     """h1 * core * h3 over the plain words h1 of degree r-1, the starred
-    words h3 of degree s-1 and the cores, nested in that order."""
+    words h3 of degree s-1 and the cores, nested in that order.
+
+    Each is built as one element and normalized once: the fixed prefix h1
+    and suffix h3 keep the core's keys distinct."""
     for pw in monomial_basis(n, r - 1):
-        h1 = MixedElem({(pw, ()): ONE}, normalized=True)
         for sw in monomial_basis(n, s - 1):
-            h3 = MixedElem({((), sw): ONE}, normalized=True)
             for core in cores:
-                yield mixed_multiply(mixed_multiply(h1, core), h3)
+                yield MixedElem({(pw + p, q + sw): c
+                                 for (p, q), c in core.terms.items()})
 
 
 def cross_relation_generators(n, r, s):
@@ -154,7 +156,6 @@ class MixedQuotient:
     """
 
     def __init__(self, n, r, s):
-        self.n, self.r, self.s = n, r, s
         self.words = [(pw, sw) for pw in monomial_basis(n, r)
                       for sw in monomial_basis(n, s)]
         self.echelon = Echelon()
@@ -196,27 +197,22 @@ def det_frak(k, n):
     return result
 
 
-def check_detk(n, k):
-    """The relation cores around dfrak^(k) in bidegree (k+1, k+1).
+def check_detk(n):
+    """The relation cores around dfrak^(1) in bidegree (2, 2).
 
-    Each core of cross_relation_cores, with dfrak^(k) put between the
+    Each core of cross_relation_cores, with dfrak^(1) put between the
     plain and the starred letter of every term, vanishes in the quotient:
-    for i != j, sum_l x_il dfrak^(k) x*_jl and sum_l q^(2l) x_li dfrak^(k)
+    for i != j, sum_l x_il dfrak^(1) x*_jl and sum_l q^(2l) x_li dfrak^(1)
     x*_lj, and for all i, j, the diagonal sandwich sum_l q^(2l-2i) x_li
-    dfrak^(k) x*_li minus sum_l x_jl dfrak^(k) x*_jl.
+    dfrak^(1) x*_li minus sum_l x_jl dfrak^(1) x*_jl.
     """
-    d = det_frak(k, n)
-    quot = quotient(n, k + 1, k + 1)
+    d = det_frak(1, n)
+    quot = quotient(n, 2, 2)
     return all(quot.is_coset_zero(MixedElem(accumulate({}, (
         (((lp,) + pw, sw + (ls,)), a * c)
         for ((lp,), (ls,)), a in core.terms.items()
         for (pw, sw), c in d.terms.items()))))
         for core in cross_relation_cores(n))
-
-
-def starred_bideterminant(t, t2):
-    """The starred bideterminant (forward row order, q -> q^-1 minors)."""
-    return MixedElem.from_starred(bideterminant(t, t2, qexp=-1))
 
 
 @functools.cache
@@ -229,13 +225,14 @@ def rational_bideterminant(rt, rt2, k, n):
     if rt.shapes() != rt2.shapes():
         raise ValueError("rational bitableau halves must have equal shapes")
     left = MixedElem.from_plain(bideterminant(rt.left, rt2.left))
-    right = starred_bideterminant(rt.right, rt2.right)
+    # the starred bideterminant: forward row order, q -> q^-1 minors
+    right = MixedElem.from_starred(bideterminant(rt.right, rt2.right,
+                                                 qexp=-1))
     return mixed_multiply(mixed_multiply(left, det_frak(k, n)), right)
 
 
 # -- the embedding iota --------------------------------------------------
 
-@functools.cache
 def iota_starred_letter(i, j, n):
     """iota(x*_ij) = (-q)^(j-i) (1..i^..n | 1..j^..n)."""
     rows = [t for t in range(1, n + 1) if t != i]

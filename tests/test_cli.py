@@ -370,6 +370,32 @@ def test_unknown_suite_exits_2(capsys):
     assert main(["verify", "nosuchsuite"]) == 2
 
 
+def counting_suites(monkeypatch):
+    """Wrap every cli.SUITES entry; the returned dict counts their calls."""
+    calls = {"suites": 0}
+    for name, suite in list(cli.SUITES.items()):
+        def counted(*args, suite=suite, **kwargs):
+            calls["suites"] += 1
+            return suite(*args, **kwargs)
+        monkeypatch.setitem(cli.SUITES, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["all", "bogus"], "unknown suite: bogus"),
+    (["all", "--n", "4", "--r", "0", "--s", "0", "--unsafe-large"],
+     "no case of suite walled-relations matches --n/--r/--s/--m")],
+    ids=["unknown-beside-all", "restriction-leaves-no-case"])
+def test_verify_checks_all_its_input_before_any_suite(argv, error,
+                                                      monkeypatch, capsys):
+    calls = counting_suites(monkeypatch)
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error: {error}"]
+    assert calls["suites"] == 0
+
+
 def test_caps_enforced(capsys):
     assert main(["dims", "--n", "9", "--r", "1", "--s", "1"]) == 2
     assert main(["tableaux", "--n", "2", "--m", "9"]) == 2

@@ -104,8 +104,8 @@ def test_jacobi_all_minors_small():
 
 
 def test_detk_congruences():
-    assert check_detk(2, 1)
-    assert check_detk(3, 1)
+    assert check_detk(2)
+    assert check_detk(3)
 
 
 def former_check_detk(n, k):
@@ -152,8 +152,28 @@ def test_detk_check_matches_the_former_sandwich_check(n, middle,
     if middle is not None:
         monkeypatch.setattr(mixed, "det_frak", lambda k, n: middle)
     want = middle is None
-    assert check_detk(n, 1) is want
+    assert check_detk(n) is want
     assert former_check_detk(n, 1) is want
+
+
+def former_sandwiches(cores, n, r, s):
+    """The former route (test oracle): each h1 * core * h3 as two products
+    of one-term elements, normalized after each."""
+    for pw in monomial_basis(n, r - 1):
+        h1 = MixedElem({(pw, ()): ONE}, normalized=True)
+        for sw in monomial_basis(n, s - 1):
+            h3 = MixedElem({((), sw): ONE}, normalized=True)
+            for core in cores:
+                yield mixed_multiply(mixed_multiply(h1, core), h3)
+
+
+@pytest.mark.parametrize("r, s", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sandwiches_match_the_former_two_products(n, r, s):
+    # the relation cores build Y; dfrak^(1) is DetIdealChecker's middle
+    for cores in (mixed.cross_relation_cores(n), [det_frak(1, n)]):
+        assert list(mixed._sandwiches(cores, n, r, s)) == \
+            list(former_sandwiches(cores, n, r, s))
 
 
 def test_rational_straighten_unit_denominators():
