@@ -8,7 +8,13 @@ integer coefficient.  Only this module builds that dict.
 
 Laurent values are immutable and shared: no operation writes into the
 ``terms`` of an existing value, so a sum or a product may hold the very
-value it was given.
+value it was given.  Each unit +-q^e that the package builds is one shared
+object, taken from a table keyed by (e, +-1): :meth:`LaurentPoly.q`,
+:func:`neg_q_power`, the negation of a unit, ``ONE``, ``Q`` and ``QINV``,
+and every result of :func:`accumulate` that is a unit.  The test for a unit
+is made only where a monomial is built, so a result of several terms pays
+nothing, and the table holds one entry per exponent and sign in use.
+Sharing saves memory only: equality stays that of the terms.
 
 :func:`accumulate` is the one sparse multiply-add kernel of the package:
 it adds coeff * v into a dict of Laurent values for each (key, v) and drops
@@ -46,7 +52,7 @@ class LaurentPoly:
 
     @staticmethod
     def one():
-        return LaurentPoly({0: 1})
+        return _unit(0, 1)
 
     @staticmethod
     def from_int(c):
@@ -54,7 +60,9 @@ class LaurentPoly:
 
     @staticmethod
     def q(exp=1, coeff=1):
-        """The monomial coeff * q^exp."""
+        """The monomial coeff * q^exp; a unit is the table's object."""
+        if coeff == 1 or coeff == -1:
+            return _unit(exp, coeff)
         return LaurentPoly({exp: coeff})
 
     # -- predicates ----------------------------------------------------
@@ -83,7 +91,11 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({e: -c for e, c in self.terms.items()})
+        t = self.terms
+        if len(t) == 1:
+            ((e, c),) = t.items()
+            return LaurentPoly.q(e, -c)
+        return _make({e: -c for e, c in t.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, LaurentPoly)):
@@ -201,7 +213,13 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj):
-        return LaurentPoly({int(e): int(c) for e, c in obj.items()})
+        """The inverse of to_json; exponent keys that read as the same
+        integer ("0", "00", " 0") have their coefficients summed."""
+        terms = {}
+        for e, c in obj.items():
+            e = int(e)
+            terms[e] = terms.get(e, 0) + int(c)
+        return LaurentPoly(terms)
 
 
 _new = object.__new__
@@ -213,6 +231,18 @@ def _make(terms):
     r.terms = terms
     r._hash = None
     return r
+
+
+# the shared units +-q^e: (e, +-1) -> LaurentPoly
+_UNITS = {}
+
+
+def _unit(e, c):
+    """The shared LaurentPoly c*q^e for c = +-1."""
+    u = _UNITS.get((e, c))
+    if u is None:
+        u = _UNITS[(e, c)] = _make({e: c})
+    return u
 
 
 def _operand(x):
@@ -231,10 +261,12 @@ def accumulate(acc, items, coeff=None):
 
     * 1: a new key stores v itself;
     * a monomial c*q^e: a new key gets v shifted and scaled in one dict (a
-      product of nonzero integers is nonzero, so nothing is dropped);
+      product of nonzero integers is nonzero, so nothing is dropped); a
+      one-term result +-q^k is the shared unit;
     * any other, and any key already in acc: coeff * v is multiplied
       straight into one new dict, a copy of the old entry's terms if there
-      is one, and an entry whose sum is zero is deleted.
+      is one; an entry whose sum is zero is deleted, and one whose sum is
+      +-q^k is the shared unit.
     """
     get = acc.get
     ct = {0: 1} if coeff is None else coeff.terms
@@ -252,7 +284,10 @@ def accumulate(acc, items, coeff=None):
             elif len(vt) == 1:
                 # a dict literal: a comprehension is a call of its own
                 ((e, c),) = vt.items()
-                acc[k] = _make({e + e0: c * c0})
+                e += e0
+                c *= c0
+                acc[k] = (_UNITS.get((e, c)) or _unit(e, c)
+                          if c == 1 or c == -1 else _make({e: c}))
             elif vt:
                 acc[k] = _make({e + e0: c * c0 for e, c in vt.items()})
             continue
@@ -265,7 +300,11 @@ def accumulate(acc, items, coeff=None):
                     s[e] = c
                 else:
                     del s[e]
-        if s:
+        if len(s) == 1:
+            ((e, c),) = s.items()
+            acc[k] = (_UNITS.get((e, c)) or _unit(e, c)
+                      if c == 1 or c == -1 else _make(s))
+        elif s:
             acc[k] = _make(s)
         elif t is not None:
             del acc[k]
@@ -279,8 +318,8 @@ QINV = LaurentPoly.q(-1)
 
 
 def neg_q_power(k):
-    """(-q)^k for any integer k."""
-    return LaurentPoly({k: 1 if k % 2 == 0 else -1})
+    """(-q)^k for any integer k, the shared unit."""
+    return _unit(k, -1 if k % 2 else 1)
 
 
 def neg_q_log(a):

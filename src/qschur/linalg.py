@@ -2,13 +2,17 @@
 
 Three engines are provided:
 
-* :class:`Echelon` -- incremental fraction-free row reduction with
-  Laurent-polynomial rows, used for ranks, nullities and coset zero tests
-  (no polynomial division ever happens during elimination).  Its one
-  reduction, :meth:`Echelon.reduce`, returns a Laurent residual.  An
-  insert back-reduces only the rows that hold its pivot column, found
-  through a column index, so a span that splits into blocks over
-  disjoint columns needs no split by the caller.
+* :class:`Echelon` -- incremental row reduction with Laurent-polynomial
+  rows, used for ranks, nullities and coset zero tests (no polynomial
+  division ever happens during elimination).  A row with a unit entry
+  +-q^k is pivoted on it and stored divided by it, so its pivot entry is
+  the shared ``ONE`` and clearing it costs one multiply-add; a row with
+  none keeps the fraction-free step, which scales the vector by the pivot
+  entry and then divides out the integer content.  Its one reduction,
+  :meth:`Echelon.reduce`, returns a Laurent residual.  An insert
+  back-reduces only the rows that hold its pivot column, found through a
+  column index, so a span that splits into blocks over disjoint columns
+  needs no split by the caller.
 * :class:`UnitSolver` -- LU with unit pivots over Z[q,q^-1] itself,
   B = L·R, for spanning sets whose transition matrix is unimodular: every
   pivot is a unit +-q^k, so no fraction ever appears.  An insert
@@ -17,7 +21,8 @@ Three engines are provided:
   certificate is that of reduced row echelon form with combination
   tracking: the same pivots, the same "no unit pivot" error on the same
   rows, the same solutions.  It is the engine of ordinary straightening,
-  hence of rational straightening through iota.
+  hence of rational straightening through iota.  Its unit-pivot step,
+  :func:`_unit_pivot`, is the one Echelon takes.
 * :class:`SpanSolver` -- reduced row echelon form over the fraction field
   with combination tracking, the one tracked elimination of the package.
   It serves only :func:`mat_nullspace`, the nullspace basis over the
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .laurent import LaurentPoly, accumulate, laurent_divmod
+from .laurent import ONE, LaurentPoly, accumulate, laurent_divmod
 
 
 class SparseSum:
@@ -249,16 +254,42 @@ def _strip_content(v):
     return {c: p.int_div(g) for c, p in v.items()} if g > 1 else v
 
 
+def _divided_by_unit(v, pc):
+    """(u^-1, v / u) for the unit u = v[pc] = +-q^k; the entry of v / u at
+    pc is the shared ``ONE``."""
+    sign, k = v[pc].unit_decompose()
+    inv = LaurentPoly.q(-k, sign)
+    row = accumulate({}, v.items(), inv)
+    row[pc] = ONE
+    return inv, row
+
+
+def _unit_pivot(v):
+    """(pc, u^-1, v / u) for the lowest column pc of v whose entry u is a
+    unit +-q^k (see _divided_by_unit), or None if v has no unit entry."""
+    units = [c for c, x in v.items() if x.is_unit()]
+    if not units:
+        return None
+    pc = min(units)
+    return (pc, *_divided_by_unit(v, pc))
+
+
 class Echelon:
-    """Fraction-free reduced row echelon form over Z[q,q^-1].
+    """Reduced row echelon form over Z[q,q^-1], monic where it can be.
 
     Rows are sparse dicts column-key -> LaurentPoly.  Maintained fully
     reduced: no row has an entry in another row's pivot column, so a single
-    forward pass reduces any vector.  The residual of v is a nonzero
-    scalar multiple of its canonical coset representative, so it is empty
-    exactly when v lies in the span.  A column index lets an insert touch
-    only the rows that hold its new pivot column, so rows over disjoint
-    columns (a block-diagonal span) cost nothing to one another.
+    forward pass reduces any vector.  A new row is pivoted on a unit entry
+    +-q^k when it has one and stored divided by it, so its pivot entry is
+    ``ONE`` and clearing its column from a vector is one multiply-add.  A
+    row with no unit entry, even after its integer content is divided out,
+    keeps the fraction-free step: it is pivoted on an entry with the fewest
+    terms, and a vector is scaled by that entry before the subtraction.
+    Either way the residual of v is a nonzero scalar multiple of its
+    canonical coset representative, so it is empty exactly when v lies in
+    the span.  A column index lets an insert touch only the rows that hold
+    its new pivot column, so rows over disjoint columns (a block-diagonal
+    span) cost nothing to one another.
     """
 
     def __init__(self):
@@ -270,28 +301,42 @@ class Echelon:
         return len(self.pivots)
 
     def reduce(self, v):
-        """The residual of v modulo the row span, content stripped.
+        """The residual of v modulo the row span.
 
-        Clears the pivot columns from v by fraction-free elimination and
-        divides out the joint integer content; the entries are Laurent.
-        v is not modified.
+        Clears the pivot columns from v, subtracting v[c] times a row with
+        pivot entry ``ONE`` and scaling v first by any other pivot entry;
+        the joint integer content is divided out only if v was scaled.  The
+        entries are Laurent.  v is not modified.
         """
         v = {k: val for k, val in v.items() if not val.is_zero()}
+        scaled = False
         # rows have no entries in other pivot columns, so clearing one
         # pivot leaves the others in v nonzero and the order is immaterial
         for c in [c for c in v if c in self.pivots]:
             row = self.pivots[c]
-            v = accumulate(accumulate({}, v.items(), row[c]),
-                           row.items(), -v[c])
-        return _strip_content(v)
+            p = row[c]
+            if p is ONE:
+                accumulate(v, row.items(), -v[c])
+            else:
+                v = accumulate(accumulate({}, v.items(), p),
+                               row.items(), -v[c])
+                scaled = True
+        return _strip_content(v) if scaled else v
 
     def insert(self, v):
         """Add v to the span; returns True if it enlarged the span."""
         res = self.reduce(v)
         if not res:
             return False
-        # pivot with the fewest terms to limit expression swell
-        pc = min(res, key=lambda c: (res[c].num_terms(), c))
+        pivot = _unit_pivot(res)
+        if pivot is None:
+            res = _strip_content(res)
+            pivot = _unit_pivot(res)
+        if pivot is None:
+            # pivot with the fewest terms to limit expression swell
+            pc = min(res, key=lambda c: (res[c].num_terms(), c))
+        else:
+            pc, _, res = pivot
         # back-reduce the rows holding pc so the echelon stays fully
         # reduced; each is rebuilt from itself and res alone, so the order
         # is immaterial.  A row keeps its columns outside res (times p != 0),
@@ -301,8 +346,14 @@ class Echelon:
         holders = self._holders
         for c0 in holders.pop(pc, ()):
             row = self.pivots[c0]
-            new = _strip_content(accumulate(
-                accumulate({}, row.items(), p), res.items(), -row[pc]))
+            if p is ONE:
+                new = accumulate(dict(row), res.items(), -row[pc])
+            else:
+                new = _strip_content(accumulate(
+                    accumulate({}, row.items(), p), res.items(), -row[pc]))
+                if new[c0].is_unit():
+                    # the division left a unit pivot: make the row monic
+                    new = _divided_by_unit(new, c0)[1]
             for c in cols:
                 if c in new:
                     holders.setdefault(c, set()).add(c0)
@@ -358,14 +409,12 @@ class UnitSolver:
         """Insert the next spanning row."""
         v = {c: x for c, x in v.items() if not x.is_zero()}
         mults = self._forward(v)
-        units = [c for c, x in v.items() if x.is_unit()]
-        if not units:
+        pivot = _unit_pivot(v)
+        if pivot is None:
             raise AssertionError("no unit pivot: the rows are not "
                                  "certified unimodular over Z[q,q^-1]")
-        pc = min(units)
-        sign, k = v[pc].unit_decompose()
-        inv = LaurentPoly.q(-k, sign)
-        self.rows.append((pc, accumulate({}, v.items(), inv)))
+        pc, inv, row = pivot
+        self.rows.append((pc, row))
         self._lower.append((inv, mults))
 
     def solve(self, v):

@@ -151,7 +151,7 @@ def cross_relation_generators(n, r, s):
 class MixedQuotient:
     """The bidegree-(r, s) component modulo the relation span Y.
 
-    One fraction-free Echelon holds Y; rank and zero tests use residual().
+    One Echelon holds Y; rank and zero tests use residual().
     generators counts the nonzero sandwiched relations the build inserted.
     """
 
@@ -172,7 +172,9 @@ class MixedQuotient:
 
         It is a nonzero scalar times the canonical coset representative of
         a, so ranks of residuals, and membership in their span, agree with
-        those of the cosets."""
+        those of the cosets.  Where every pivot it meets is a unit (every
+        pivot of Y is one for n in {2, 3}, r, s <= 2 and at (3,3,2)), the
+        scalar is 1: a is neither scaled nor divided by its content."""
         return self.echelon.reduce(a.terms)
 
     def is_coset_zero(self, a):
@@ -330,8 +332,8 @@ class _RationalBasis:
     """The standard rational bideterminants, checked independent mod Y.
 
     An independent check of the basis theorem that does not use iota: the
-    quotient residuals of the bideterminants have full fraction-free
-    Echelon rank.  index lists the (k, rt, rt2).
+    quotient residuals of the bideterminants have full Echelon rank.
+    index lists the (k, rt, rt2).
     """
 
     def __init__(self, n, r, s):

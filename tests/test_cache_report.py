@@ -37,3 +37,13 @@ def test_the_report_finds_exactly_the_caches_in_the_source():
     scanned = scanned_caches()
     assert scanned
     assert set(cache_report.caches()) == scanned
+
+
+def test_the_report_sizes_the_table_of_shared_units():
+    from qschur import laurent
+    found = cache_report.memos()
+    assert found["laurent._UNITS"] is laurent._UNITS
+    e = 10 ** 6 + 7
+    assert (e, -1) not in laurent._UNITS
+    u = laurent.neg_q_power(e)
+    assert found["laurent._UNITS"][(e, -1)] is u

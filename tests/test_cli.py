@@ -123,6 +123,24 @@ def test_straighten_ord_roundtrip(tmp_path, capsys):
     assert len(report["terms"]) == 2  # -q (12|12) + q (1/2 | 1/2) pattern
 
 
+@pytest.mark.parametrize("key", ["00", " 0"])
+def test_straighten_sums_exponent_keys_that_read_as_one_integer(
+        key, monkeypatch, capsys):
+    # equal exponents are summed like repeated words: both give 3, not 2
+    reports = []
+    coeff = json.dumps({"0": "1", key: "2"})
+    for text in (f'[{{"word": [[1, 1]], "coeff": {coeff}}}]',
+                 '[{"word": [[1, 1]], "coeff": {"0": "1"}},'
+                 ' {"word": [[1, 1]], "coeff": {"0": "2"}}]'):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = run(capsys, "straighten", "ord", "--n", "2",
+                        "--input", "-")
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert [t["coeff"] for t in reports[0]["terms"]] == [{"0": "3"}]
+
+
 def test_straighten_mixed(tmp_path, capsys):
     elem = MixedElem({(((1, 1),), ((1, 1),)): ONE}, normalized=True)
     path = tmp_path / "elem.json"

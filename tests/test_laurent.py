@@ -8,8 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschur.laurent import (LaurentPoly, ONE, ZERO, exact_div,
-                            laurent_divmod, neg_q_log, neg_q_power,
+from qschur import laurent
+from qschur.laurent import (LaurentPoly, ONE, Q, QINV, ZERO, accumulate,
+                            exact_div, laurent_divmod, neg_q_log, neg_q_power,
                             quantum_binomial,
                             quantum_factorial, quantum_integer,
                             quantum_integer_signed)
@@ -142,6 +143,79 @@ def test_eval_mod_matches_subs(a, q0):
 def test_json_roundtrip():
     a = LaurentPoly({-3: 5, 0: -1, 7: 2})
     assert LaurentPoly.from_json(a.to_json()) == a
+
+
+@pytest.mark.parametrize("key", ["00", " 0", "+0", "-0"])
+def test_from_json_sums_exponent_keys_that_read_as_one_integer(key):
+    assert LaurentPoly.from_json({"0": "1", key: "2"}).terms == {0: 3}
+    assert LaurentPoly.from_json({"0": "1", key: "-1"}).is_zero()
+    assert LaurentPoly.from_json({"1": "4", "01": "1", "-1": "2"}).terms == \
+        {1: 5, -1: 2}
+
+
+# -- the shared units +-q^e ------------------------------------------------
+
+signs = st.sampled_from([1, -1])
+units = st.builds(LaurentPoly.q, st.integers(-4, 4), signs)
+
+
+def table_is_sound():
+    """Every table entry is the unit its key names, and nothing else is in
+    the table."""
+    return all(u.terms == {e: c} and c in (1, -1)
+               for (e, c), u in laurent._UNITS.items())
+
+
+def test_unit_constructors_give_the_tables_object():
+    table = laurent._UNITS
+    assert ONE is table[(0, 1)] and Q is table[(1, 1)]
+    assert QINV is table[(-1, 1)] and LaurentPoly.one() is ONE
+    for e in range(-4, 5):
+        for c in (1, -1):
+            u = LaurentPoly.q(e, c)
+            assert u is table[(e, c)] and u.terms == {e: c}
+            assert LaurentPoly.q(e, c) is u
+            assert -u is table[(e, -c)]
+        assert neg_q_power(e) is table[(e, (-1) ** (e % 2))]
+    assert table_is_sound()
+
+
+@given(st.integers(-6, 6), signs, st.integers(-6, 6), signs)
+@settings(max_examples=60, deadline=None)
+def test_a_product_of_units_is_the_tables_object(e1, c1, e2, c2):
+    u, v = LaurentPoly.q(e1, c1), LaurentPoly.q(e2, c2)
+    assert u * v is v * u is laurent._UNITS[(e1 + e2, c1 * c2)]
+
+
+def test_one_term_unit_results_of_accumulate_are_the_tables_object():
+    table = laurent._UNITS
+    acc = accumulate({}, [("a", LaurentPoly.q(2, -1)), ("b", Q),
+                          ("c", Q + ONE)], QINV)
+    assert acc["a"] is table[(1, -1)] and acc["b"] is ONE
+    assert acc["c"].terms == {0: 1, -1: 1}
+    acc = accumulate({}, [("a", LaurentPoly.q(2, -1))], LaurentPoly.q(-5, -1))
+    assert acc["a"] is table[(-3, 1)]
+
+
+def test_a_non_unit_monomial_never_enters_the_table():
+    m = LaurentPoly.q(3, 2)
+    made = [m, -m, m * Q, Q * m, m * m, LaurentPoly.q(3, -2),
+            LaurentPoly.q(0, 10 ** 30), accumulate({}, [(0, QINV)], m)[0],
+            accumulate({}, [(0, m)], QINV)[0], accumulate({}, [(0, m)])[0]]
+    assert made[2].terms == {4: 2} and made[7].terms == {2: 2}
+    ids = {id(u) for u in laurent._UNITS.values()}
+    assert not any(id(x) in ids for x in made)
+    assert table_is_sound()
+
+
+@given(laurents | units, laurents | units, laurents | units)
+@settings(max_examples=60, deadline=None)
+def test_ring_laws_with_shared_units(a, b, c):
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a
+    assert a * (b * c) == (a * b) * c
+    assert a - a == ZERO and -(-a) == a
+    assert table_is_sound()
 
 
 def test_neg_q_log_decodes_powers_of_minus_q_only():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from qschur import qmatrix as qm
 from qschur.laurent import LaurentPoly, ONE, ZERO
 from qschur.linalg import (Echelon, RationalFn, SparseSum, SpanSolver,
                            UnitSolver, accumulate, mat_nullspace)
+from qschur import mixed as mx
 from qschur.mixed import MixedElem
 from qschur.qmatrix import AlgebraElem
 from qschur.tensor import Endo
@@ -219,18 +221,25 @@ def test_rank_transpose_invariant(rows):
 
 def reduce_over_all_pivots(ech, v):
     """The residual of the former Echelon.reduce loop, which visits every
-    pivot in order."""
+    pivot in order, under the pivot rule of Echelon: a row whose pivot
+    entry is 1 is subtracted as it is, any other pivot entry scales v
+    first, and the content is divided out only after a scaling."""
     v = {k: val for k, val in v.items() if not val.is_zero()}
+    scaled = False
     for c in ech.pivots:
         coeff = v.get(c)
         if coeff is None:
             continue
         row = ech.pivots[c]
-        v = accumulate({k: val * row[c] for k, val in v.items()},
-                       row.items(), -coeff)
+        if row[c].is_one():
+            v = accumulate(dict(v), row.items(), -coeff)
+        else:
+            v = accumulate({k: val * row[c] for k, val in v.items()},
+                           row.items(), -coeff)
+            scaled = True
         if not v:
             break
-    return linalg._strip_content(v) if v else v
+    return linalg._strip_content(v) if scaled and v else v
 
 
 @given(st.lists(st.dictionaries(st.integers(0, 6), laurents, max_size=4),
@@ -264,9 +273,19 @@ def test_echelon_residual_matches_reduce(rows, vecs):
         assert ech.contains(v) == (not res)
 
 
+def divided_by_unit_at(v, c):
+    """v divided by its entry at c, a unit +-q^k."""
+    sign, k = v[c].unit_decompose()
+    return {j: val * LaurentPoly.q(-k, sign) for j, val in v.items()}
+
+
 class FullScanEchelon:
     """The former Echelon.insert, which back-reduces by visiting every
-    pivot row, over reduce_over_all_pivots."""
+    pivot row, over reduce_over_all_pivots, under the pivot rule of
+    Echelon: the lowest unit column of the residual, or of the residual
+    with its content divided out, with the row divided by that unit; else
+    the fewest terms.  A row whose pivot entry becomes a unit after a
+    fraction-free back-reduction is divided by it."""
 
     def __init__(self):
         self.pivots = {}
@@ -275,14 +294,29 @@ class FullScanEchelon:
         res = reduce_over_all_pivots(self, v)
         if not res:
             return False
-        pc = min(res, key=lambda c: (res[c].num_terms(), c))
+        units = [c for c in res if res[c].is_unit()]
+        if not units:
+            res = linalg._strip_content(res)
+            units = [c for c in res if res[c].is_unit()]
+        if units:
+            pc = min(units)
+            res = divided_by_unit_at(res, pc)
+        else:
+            pc = min(res, key=lambda c: (res[c].num_terms(), c))
         p = res[pc]
         for c0, row in self.pivots.items():
             coeff = row.get(pc)
             if coeff is None:
                 continue
-            self.pivots[c0] = linalg._strip_content(accumulate(
-                {k: val * p for k, val in row.items()}, res.items(), -coeff))
+            if p.is_one():
+                new = accumulate(dict(row), res.items(), -coeff)
+            else:
+                new = linalg._strip_content(accumulate(
+                    {k: val * p for k, val in row.items()}, res.items(),
+                    -coeff))
+                if new[c0].is_unit():
+                    new = divided_by_unit_at(new, c0)
+            self.pivots[c0] = new
         self.pivots[pc] = res
         return True
 
@@ -321,6 +355,89 @@ def test_echelon_contains_span_members():
             combo[k] = combo.get(k, LaurentPoly.zero()) + c * v
     assert ech.contains(combo)
     assert not ech.contains({0: ONE})
+
+
+def unit_pivots_are_one(ech):
+    """Every stored row whose pivot entry is a unit has the shared ONE
+    there."""
+    return all(row[c] is ONE for c, row in ech.pivots.items()
+               if row[c].is_unit())
+
+
+def test_echelon_mixes_unit_and_non_unit_pivots():
+    # (2, 3) has no unit entry, so it keeps the fraction-free step; (1, 1)
+    # then reduces to a residual with a unit entry
+    rows = [[LaurentPoly.from_int(2), LaurentPoly.from_int(3)], [ONE, ONE]]
+    ech = Echelon()
+    for row in _row_dicts(rows):
+        ech.insert(row)
+    assert ech.rank == 2 == sympy.Matrix([[2, 3], [1, 1]]).rank()
+    assert unit_pivots_are_one(ech)
+    assert ech.contains({0: ONE}) and ech.contains({1: LaurentPoly.q(3, 5)})
+    ech = Echelon()
+    ech.insert({0: LaurentPoly.from_int(2), 1: LaurentPoly.from_int(3)})
+    assert ech.pivots[0][0].terms == {0: 2}
+    assert ech.contains({0: LaurentPoly.from_int(4),
+                         1: LaurentPoly.from_int(6)})
+    assert not ech.contains({0: ONE, 1: ONE})
+
+
+def test_a_fraction_free_back_reduction_that_leaves_a_unit_makes_it_one():
+    # (1, 2q, 0) has pivot ONE; (0, 2q, 1 + q) has no unit entry and pivots
+    # on 2q; back-reducing the first row gives (2q, 0, -2q - 2q^2), which is
+    # 2q (1, 0, -1 - q) and so is stored with ONE again
+    q = LaurentPoly.q(1)
+    ech = Echelon()
+    ech.insert({0: ONE, 1: 2 * q})
+    ech.insert({1: 2 * q, 2: ONE + q})
+    assert ech.pivots == {0: {0: ONE, 2: -(ONE + q)},
+                          1: {1: 2 * q, 2: ONE + q}}
+    assert ech.pivots[0][0] is ONE and unit_pivots_are_one(ech)
+
+
+# entries that are often units, so that rows mix unit and non-unit pivots
+mixed_entries = (laurents | st.builds(LaurentPoly.q, st.integers(-2, 2),
+                                      st.sampled_from([1, -1]))
+                 | st.builds(LaurentPoly, st.dictionaries(
+                     st.integers(-2, 2), st.sampled_from([1, -1, 2]),
+                     min_size=1, max_size=2)))
+
+
+@given(st.lists(st.lists(mixed_entries, min_size=4, max_size=4),
+                min_size=1, max_size=4),
+       st.lists(mixed_entries, min_size=4, max_size=4),
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_unit_and_non_unit_pivots_match_sympy(rows, vec, scalars):
+    ech = Echelon()
+    for row in _row_dicts(rows):
+        ech.insert(row)
+        assert unit_pivots_are_one(ech)
+    # sympy's rank over the field Z(q), by its DomainMatrix
+    sym = DomainMatrix.from_Matrix(sympy.Matrix(
+        [[to_sympy(v) for v in row] for row in [vec] + rows])).to_field()
+    assert ech.rank == sym[1:, :].rank()
+    # a Laurent combination of the rows is in the span
+    combo = {}
+    for row, k in zip(_row_dicts(rows), scalars):
+        accumulate(combo, row.items(), LaurentPoly.q(k, k + 3))
+    assert ech.contains(combo)
+    # and any vector is in it exactly when it does not raise the rank
+    assert ech.contains(_row_dicts([vec])[0]) == (sym.rank() == ech.rank)
+
+
+def test_the_quotient_shares_every_unit_entry():
+    # the memory the unit table saves: every unit entry of the pivot rows
+    # of an exact quotient is the table's object, and the rows pivoted on
+    # a unit hold ONE there
+    quot = mx.quotient(3, 2, 2)
+    shared = {id(u) for u in laurent._UNITS.values()}
+    entries = [x for row in quot.echelon.pivots.values()
+               for x in row.values()]
+    units = [x for x in entries if x.is_unit()]
+    assert len(units) > len(entries) // 2
+    assert all(id(x) in shared for x in units)
+    assert unit_pivots_are_one(quot.echelon)
 
 
 @given(st.lists(st.lists(laurents, min_size=4, max_size=4),

@@ -14,8 +14,9 @@ Each workload runs in a fresh process, so every cache starts empty:
 
 For each workload it prints hits, misses and currsize of every
 ``functools.cache`` in qschur (see ``caches``), then the entries of the
-``Rewriter`` memos of ``PLAIN`` and ``STARRED`` and of
-``_STRAIGHTEN.solvers`` (see ``memos``), whose hits are not counted.  It
+table of shared units +-q^e in ``laurent``, of the ``Rewriter`` memos of
+``PLAIN`` and ``STARRED`` and of ``_STRAIGHTEN.solvers`` (see ``memos``),
+whose hits are not counted.  It
 takes no options and writes nothing: no bytecode either.
 """
 
@@ -47,9 +48,11 @@ def caches():
 
 
 def memos():
-    """{name: dict} for the memos that are not functools caches."""
-    from qschur import qmatrix
-    return {"qmatrix.PLAIN.cache": qmatrix.PLAIN.cache,
+    """{name: dict} for the memos and tables that are not functools
+    caches."""
+    from qschur import laurent, qmatrix
+    return {"laurent._UNITS": laurent._UNITS,
+            "qmatrix.PLAIN.cache": qmatrix.PLAIN.cache,
             "qmatrix.PLAIN.inserts": qmatrix.PLAIN.inserts,
             "qmatrix.STARRED.cache": qmatrix.STARRED.cache,
             "qmatrix.STARRED.inserts": qmatrix.STARRED.inserts,
