@@ -412,29 +412,54 @@ def suite_rational_basis(p):
 def suite_phi_iota(p):
     """phi inverts iota on every standard rational bideterminant b.
 
-    For each (k, rt, rt2), with (t, t') the images of (rt, rt2) under
-    tb.rational_to_ordinary and c = mx.c_exponent(rt, rt2), the normal
-    forms of iota(b) and (-q)^c (t|t') must be equal; a failed comparison
-    fails the case.  That is the identity iota(b) = (-q)^c (t|t'), exactly.
-    phi(iota(b)) = b follows: (t|t') is a standard bideterminant, so it
-    straightens to itself, and the bijection suite certifies
-    ordinary_to_rational(t) = rt.  Nothing is straightened here.
+    For (k, rt, rt2) with rt = (L, R) and rt2 = (L', R'), let (t, t') be
+    the images of (rt, rt2) under tb.rational_to_ordinary, c =
+    mx.c_exponent(rt, rt2), m = mx.rational_right_factor(k, R, R', n) =
+    dfrak^(k) (R|R')*, and t_R the image of the rational tableau (empty,
+    R).  The claim iota(b) = (-q)^c (t|t') factors through m:
+
+    * b = (L|L') m, the definition of mx.rational_bideterminant, so
+      iota(b) = (L|L') iota(m): iota rewrites only starred letters, and
+      the plain normal form is an algebra;
+    * (t|t') = (L|L') (t_R|t_R') once t's rows are t_R's rows followed by
+      L's (and so for t'), because qm.bideterminant multiplies the row
+      minors in reversed order;
+    * c depends on (R, R') alone.
+
+    So the normal forms of iota(m) and (-q)^c (t_R|t_R') are compared
+    once per (k, R, R'), and the rows of t and t' are checked for each b;
+    a failure of either fails the case.  Both steps are exact, so together
+    they give iota(b) = (-q)^c (t|t') for every b.  phi(iota(b)) = b
+    follows: (t|t') is a standard bideterminant, so it straightens to
+    itself, and the bijection suite certifies ordinary_to_rational(t) = rt.
+    Nothing is straightened here.
     """
     n, r, s = p["n"], p["r"], p["s"]
     bitableaux = mx.standard_rational_bitableaux(n, r, s)
-    # each rational tableau is mapped once per point
+    empty = tb.Tableau(())
+    # each rational tableau, whole or right half only, is mapped once
     ordinary = {}
-    for _, rt, _ in bitableaux:
+
+    def to_ordinary(rt):
         if rt not in ordinary:
             ordinary[rt] = tb.rational_to_ordinary(rt, n, s)
-    count, ok = 0, True
+        return ordinary[rt]
+
+    checked, ok = set(), True
     for k, rt, rt2 in bitableaux:
-        b = mx.rational_bideterminant(rt, rt2, k, n)
-        bidet = qm.bideterminant(ordinary[rt], ordinary[rt2])
-        if mx.iota(b, n) != bidet.scale(neg_q_power(mx.c_exponent(rt, rt2))):
+        right, right2 = (tb.RationalTableau(empty, h.right) for h in (rt, rt2))
+        for whole, half in ((rt, right), (rt2, right2)):
+            if to_ordinary(whole).rows != \
+                    to_ordinary(half).rows + whole.left.rows:
+                ok = False
+        if (k, rt.right, rt2.right) in checked:
+            continue
+        checked.add((k, rt.right, rt2.right))
+        m = mx.rational_right_factor(k, rt.right, rt2.right, n)
+        bidet = qm.bideterminant(to_ordinary(right), to_ordinary(right2))
+        if mx.iota(m, n) != bidet.scale(neg_q_power(mx.c_exponent(rt, rt2))):
             ok = False
-        count += 1
-    yield _case(ok, **p, basis_elements=count)
+    yield _case(ok, **p, basis_elements=len(bitableaux))
 
 
 @_suite("bicommute", keep=lambda p: p["r"] + p["s"] > 0)

@@ -217,20 +217,28 @@ def check_detk(n):
         for core in cross_relation_cores(n))
 
 
-@functools.cache
+def rational_right_factor(k, right, right2, n):
+    """dfrak^(k) (right|right2)*, the right factor of the rational
+    bideterminants whose right halves are (right, right2)."""
+    # the starred bideterminant: forward row order, q -> q^-1 minors
+    starred = MixedElem.from_starred(bideterminant(right, right2, qexp=-1))
+    return mixed_multiply(det_frak(k, n), starred)
+
+
 def rational_bideterminant(rt, rt2, k, n):
     """(left|left') dfrak^(k) (right|right')* for same-shape rational pairs.
 
-    The result is cached and shared (phi, the phi-iota suite and the
-    rational basis each meet the same elements): do not modify it.
+    Built as the plain bideterminant (left|left') times
+    rational_right_factor(k, right, right', n), the factorization the
+    phi-iota suite checks through.  Not cached: the rational basis builds
+    each element once per point, and the phi-iota suite builds only the
+    right factors.
     """
     if rt.shapes() != rt2.shapes():
         raise ValueError("rational bitableau halves must have equal shapes")
     left = MixedElem.from_plain(bideterminant(rt.left, rt2.left))
-    # the starred bideterminant: forward row order, q -> q^-1 minors
-    right = MixedElem.from_starred(bideterminant(rt.right, rt2.right,
-                                                 qexp=-1))
-    return mixed_multiply(mixed_multiply(left, det_frak(k, n)), right)
+    return mixed_multiply(left,
+                          rational_right_factor(k, rt.right, rt2.right, n))
 
 
 # -- the embedding iota --------------------------------------------------
@@ -364,9 +372,11 @@ def c_exponent(rt, rt2):
     sum R) det^(|R|-1) (R'|C') (jacobi_check); iota(dfrak^(k)) = det^k and
     det is central; and the complements of the right half's rows come, in
     the starred bideterminant's forward order, as rows s, ..., 1 of t, the
-    reversed order in which bideterminant multiplies.  The phi-iota suite
-    certifies the identity by comparing the normal forms of iota(b) and
-    (-q)^c (t|t').
+    reversed order in which bideterminant multiplies.  c depends on the
+    right halves alone, and the phi-iota suite certifies the identity once
+    per right factor m = rational_right_factor(k, R, R', n): it compares
+    the normal forms of iota(m) and (-q)^c (t_R|t_R'), with t_R the image
+    of the rational tableau (empty, R).
     """
     return sum(rt2.right.entries()) - sum(rt.right.entries())
 

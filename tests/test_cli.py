@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -283,11 +287,12 @@ def test_a_dependent_rational_basis_fails_its_points(monkeypatch, capsys):
 
 def raise_in_iota_at_s_1(monkeypatch, exc):
     """Make mx.iota raise exc on elements of bidegree (r, 1): phi-iota
-    compares iota(b) with (-q)^c (t|t'), so its faults go in there."""
+    compares iota(m) with (-q)^c (t_R|t_R') for each right factor
+    m = dfrak^(k) (R|R')*, so its faults go in there."""
     real = mx.iota
 
     def iota(a, n):
-        # every term of b has s starred letters
+        # every term of a right factor has s starred letters
         _, starred = next(iter(a.terms))
         if len(starred) == 1:
             raise exc
@@ -319,9 +324,10 @@ def test_an_internal_fault_fails_its_point_only(monkeypatch, capsys):
 
 
 def test_phi_iota_builds_no_quotient(monkeypatch):
-    # one normal-form comparison per basis element, iota(b) against
-    # (-q)^c (t|t'), certifies phi(iota(b)) = b with no quotient: at (2,3,3)
-    # the exact quotient takes about 40 s to build
+    # one normal-form comparison per right factor m = dfrak^(k) (R|R')*,
+    # iota(m) against (-q)^c (t_R|t_R'), and a row check per basis element
+    # certify phi(iota(b)) = b with no quotient: at (2,3,3) the exact
+    # quotient takes about 40 s to build
     calls = []
     real_init, real_quotient = mx.MixedQuotient.__init__, mx.quotient
 
@@ -356,6 +362,58 @@ def test_phi_iota_straightens_nothing(monkeypatch):
     assert [c["ok"] for c in cases] == [True]
     assert calls == []
     assert qm._STRAIGHTEN.solvers == {}
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# a process whose only child is the CLI, so that its RUSAGE_CHILDREN peak
+# is the CLI's own peak RSS
+MEASURED_CLI = """
+import json, resource, subprocess, sys
+proc = subprocess.run(
+    [sys.executable, "-c",
+     "import sys; from qschur.cli import main; sys.exit(main(sys.argv[1:]))",
+     *sys.argv[1:]], capture_output=True, text=True)
+print(json.dumps({"code": proc.returncode, "out": proc.stdout,
+                  "err": proc.stderr, "peak_kib": resource.getrusage(
+                      resource.RUSAGE_CHILDREN).ru_maxrss}))
+"""
+
+
+def run_measured(*argv):
+    """Exit code, stdout, stderr and peak RSS (KiB) of `qschur argv` run
+    in a fresh process."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", MEASURED_CLI, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def verify_phi_iota_large(n, r, s):
+    return run_measured("verify", "phi-iota", "--n", str(n), "--r", str(r),
+                        "--s", str(s), "--unsafe-large")
+
+
+# the counts are perfbench/oracle.mixed_space_dim at these points
+@pytest.mark.parametrize("n, r, s, count", [(4, 1, 2, 1712),
+                                            (4, 2, 2, 11732),
+                                            (3, 3, 3, 7540)])
+def test_phi_iota_passes_at_large_points(n, r, s, count):
+    run = verify_phi_iota_large(n, r, s)
+    assert run["code"] == 0, run["err"]
+    assert json.loads(run["out"])["suites"][0]["cases"] == [
+        {"n": n, "r": r, "s": s, "basis_elements": count, "ok": True}]
+
+
+def test_phi_iota_at_a_large_point_stays_small():
+    # one iota image per right factor (k, R, R'): about 35 MiB at (4, 1, 2),
+    # where one image and one (t|t') per basis element peaked at 211 MiB
+    run = verify_phi_iota_large(4, 1, 2)
+    assert run["code"] == 0, run["err"]
+    assert run["peak_kib"] < 120 * 1024
 
 
 def test_weight_projectors_builds_each_projector_once(monkeypatch):

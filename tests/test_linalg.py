@@ -208,7 +208,9 @@ def _rank(rows):
                 min_size=3, max_size=3))
 @settings(max_examples=20, deadline=None)
 def test_rank_matches_sympy(rows):
-    sym = sympy.Matrix([[to_sympy(v) for v in row] for row in rows])
+    # sympy's rank over the field Z(q), by its DomainMatrix
+    sym = DomainMatrix.from_Matrix(sympy.Matrix(
+        [[to_sympy(v) for v in row] for row in rows])).to_field()
     assert _rank(rows) == sym.rank()
 
 

@@ -301,12 +301,114 @@ def phi_iota_fails(n=2, r=1, s=1):
     return any(not case["ok"] for case in cases)
 
 
-# the phi-iota suite compares the normal forms of iota(b) and (-q)^c (t|t')
-# with c from c_exponent; (2, 3, 3) runs in test_cli
+# the phi-iota suite compares the normal forms of iota(m) and
+# (-q)^c (t_R|t_R') for each right factor m, with c from c_exponent;
+# (2, 3, 3) runs in test_cli
 @pytest.mark.parametrize("n, r, s", [(3, 2, 2), (3, 3, 1), (4, 1, 1),
                                      (4, 2, 1)])
 def test_c_exponent_matches_the_straightening_off_the_suite_grid(n, r, s):
     assert not phi_iota_fails(n, r, s)
+
+
+def phi_iota_per_element(n, r, s):
+    """The former phi-iota case at (n, r, s): for every (k, rt, rt2), b
+    built as ((L|L') dfrak^(k)) (R|R')*, and the normal forms of iota(b)
+    and (-q)^c (t|t') compared, with no factoring through (k, R, R')."""
+    bitableaux = standard_rational_bitableaux(n, r, s)
+    ok = True
+    for k, rt, rt2 in bitableaux:
+        left = MixedElem.from_plain(bideterminant(rt.left, rt2.left))
+        right = MixedElem.from_starred(bideterminant(rt.right, rt2.right,
+                                                     qexp=-1))
+        b = mixed_multiply(mixed_multiply(left, det_frak(k, n)), right)
+        bidet = bideterminant(rational_to_ordinary(rt, n, s),
+                              rational_to_ordinary(rt2, n, s))
+        if iota(b, n) != bidet.scale(neg_q_power(c_exponent(rt, rt2))):
+            ok = False
+    return [{"n": n, "r": r, "s": s, "basis_elements": len(bitableaux),
+             "ok": ok}]
+
+
+@pytest.mark.parametrize("n, r, s", RATIONAL_BASIS_POINTS + [
+    (3, 2, 2), (3, 3, 1), (4, 1, 1), (4, 2, 1)])
+def test_phi_iota_by_right_factors_matches_the_per_element_route(n, r, s):
+    # the suite compares iota once per right factor dfrak^(k) (R|R')*; the
+    # oracle compares iota(b) with (-q)^c (t|t') for every b
+    assert cli.suite_phi_iota([{"n": n, "r": r, "s": s}]) == \
+        phi_iota_per_element(n, r, s)
+
+
+def test_a_corrupted_right_factor_fails_its_point_only(monkeypatch):
+    # (k, R, R') = (1, [2], [3]) has bidegree (1, 2): among the points run,
+    # only (3, 2, 2) has a rational bideterminant over it
+    n = 3
+    right, right2 = Tableau(((2,),)), Tableau(((3,),))
+    target = mixed.rational_right_factor(1, right, right2, n)
+    real = mixed.iota
+    seen = []
+
+    def iota_off_by_minus_q(a, n_):
+        if n_ == n and a == target:
+            seen.append(a)
+            return real(a, n_).scale(neg_q_power(1))
+        return real(a, n_)
+    monkeypatch.setattr(mixed, "iota", iota_off_by_minus_q)
+    points = [(2, 2, 2), (3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 1, 0)]
+    cases = cli.suite_phi_iota([{"n": n_, "r": r, "s": s}
+                                for n_, r, s in points])
+    assert len(seen) == 1
+    assert [(c["n"], c["r"], c["s"]) for c in cases if not c["ok"]] == \
+        [(3, 2, 2)]
+    assert all("error" not in c for c in cases)
+
+
+def test_a_misordered_tableau_fails_the_row_check(monkeypatch):
+    # a rational_to_ordinary that reverses the complement rows of a tableau
+    # with a left half (where that keeps a shape) leaves every right factor
+    # intact, so only the per-element row check can fail the case
+    n, r, s = 3, 2, 2
+    assert not phi_iota_fails(n, r, s)
+    real = cli.tb.rational_to_ordinary
+    changed = []
+
+    def reversed_complements(rt, n_, s_):
+        t = real(rt, n_, s_)
+        split = len(t.rows) - len(rt.left.rows)
+        comp = t.rows[:split]
+        if not rt.left.rows or len({len(row) for row in comp}) != 1 or \
+                comp == comp[::-1]:
+            return t
+        changed.append(rt)
+        return Tableau(comp[::-1] + t.rows[split:])
+    monkeypatch.setattr(cli.tb, "rational_to_ordinary", reversed_complements)
+    cases = cli.suite_phi_iota([{"n": n, "r": r, "s": s}])
+    assert changed
+    assert cases == [{"n": n, "r": r, "s": s, "basis_elements": 994,
+                      "ok": False}]
+
+
+def test_phi_iota_takes_iota_once_per_right_factor(monkeypatch):
+    # at (3, 2, 2): 994 rational bideterminants over 55 right factors
+    # (k, R, R').  Only the right factor with k = r has an empty left half,
+    # so only its (t_R|t_R') is a whole (t|t') of degree r + (n-1)s = 6;
+    # the per-element route took 994 iota images and built 994 of these
+    n, r, s = 3, 2, 2
+    iotas, degrees = [], []
+    real_iota, real_bidet = mixed.iota, qmatrix.bideterminant
+
+    def iota_counted(a, n_):
+        iotas.append(a)
+        return real_iota(a, n_)
+
+    def bideterminant_counted(t, t2, qexp=1):
+        degrees.append(t.size())
+        return real_bidet(t, t2, qexp)
+    monkeypatch.setattr(mixed, "iota", iota_counted)
+    monkeypatch.setattr(qmatrix, "bideterminant", bideterminant_counted)
+    assert not phi_iota_fails(n, r, s)
+    assert len(iotas) == 55
+    assert len(degrees) == 55
+    assert degrees.count(r + (n - 1) * s) == 1
 
 
 def drop_term(img, pos):
@@ -327,6 +429,7 @@ def drop_term(img, pos):
          "last-dropped"])
 def test_c_exponent_rejects_a_corrupted_image(corrupt, monkeypatch):
     # the phi-iota suite certifies iota(b) = (-q)^c (t|t') for c_exponent
+    # through the iota images of the right factors, which are corrupted here
     assert not phi_iota_fails()
     real = mixed.iota
     monkeypatch.setattr(mixed, "iota", lambda a, n: corrupt(real(a, n)))
@@ -337,9 +440,9 @@ def test_c_exponent_rejects_a_corrupted_image(corrupt, monkeypatch):
                          ids=["alone", "beside-the-image"])
 def test_c_exponent_rejects_another_pair_of_the_same_content(beside,
                                                              monkeypatch):
-    # (-q)^c (u|u') for another standard pair of the block of (t, t'):
-    # alone it is a single-term expansion on the wrong pair, beside the
-    # true image it leaves the coefficient of (t, t') intact
+    # (-q)^c (u|u') for another standard pair of the content of (t, t'),
+    # in place of every iota image of a right factor or added to it: the
+    # comparison with (-q)^c (t_R|t_R') fails either way
     n, r, s = 2, 1, 1
 
     def content(pair):
