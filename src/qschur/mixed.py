@@ -225,20 +225,22 @@ def rational_right_factor(k, right, right2, n):
     return mixed_multiply(det_frak(k, n), starred)
 
 
-def rational_bideterminant(rt, rt2, k, n):
+def rational_bideterminant(rt, rt2, k, n, right=None):
     """(left|left') dfrak^(k) (right|right')* for same-shape rational pairs.
 
-    Built as the plain bideterminant (left|left') times
+    Built as the plain bideterminant (left|left') times the right factor
     rational_right_factor(k, right, right', n), the factorization the
-    phi-iota suite checks through.  Not cached: the rational basis builds
-    each element once per point, and the phi-iota suite builds only the
-    right factors.
+    phi-iota suite checks through; a caller that holds that factor already
+    passes it as right.  Not cached: the rational basis builds each
+    element once per point and each right factor once per (k, R, R'), and
+    the phi-iota suite builds only the right factors.
     """
     if rt.shapes() != rt2.shapes():
         raise ValueError("rational bitableau halves must have equal shapes")
+    if right is None:
+        right = rational_right_factor(k, rt.right, rt2.right, n)
     left = MixedElem.from_plain(bideterminant(rt.left, rt2.left))
-    return mixed_multiply(left,
-                          rational_right_factor(k, rt.right, rt2.right, n))
+    return mixed_multiply(left, right)
 
 
 # -- the embedding iota --------------------------------------------------
@@ -341,15 +343,21 @@ class _RationalBasis:
 
     An independent check of the basis theorem that does not use iota: the
     quotient residuals of the bideterminants have full Echelon rank.
-    index lists the (k, rt, rt2).
+    index lists the (k, rt, rt2).  Each right factor is built once per
+    (k, R, R') and shared by the bideterminants it ends.
     """
 
     def __init__(self, n, r, s):
         quot = quotient(n, r, s)
         self.index = []
         ech = Echelon()
+        rights = {}
         for k, rt, rt2 in standard_rational_bitableaux(n, r, s):
-            res = quot.residual(rational_bideterminant(rt, rt2, k, n))
+            key = k, rt.right, rt2.right
+            if key not in rights:
+                rights[key] = rational_right_factor(*key, n)
+            res = quot.residual(
+                rational_bideterminant(rt, rt2, k, n, rights[key]))
             if not ech.insert(res):
                 raise AssertionError(
                     "standard rational bideterminants must be independent")

@@ -79,6 +79,63 @@ def test_the_check_sees_both_kinds_of_use():
     assert violations("from .tensor import _matmul_mod\n", "tensor") == []
 
 
+# the functions of tensor's dense F_p kernel: the only ones that import
+# numpy, so that the narrow blocks, on the sparse kernel, never load it
+DENSE_KERNEL = {"_ModEchelon.__init__", "_ModEchelon.insert", "_rank_dense",
+                "_dense_pieces", "_closure_dense"}
+
+
+def numpy_imports(source):
+    """(line, qualified name of the enclosing function) of each import of
+    numpy; the name is None for an import that runs when the module is
+    imported (at top level or in a class body)."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name], True)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], in_function)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                found.append((child.lineno,
+                              ".".join(scope) if in_function else None))
+            visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_dense_kernel_imports_numpy(module):
+    found = numpy_imports((PACKAGE / f"{module}.py").read_text())
+    where = {name for _, name in found}
+    assert where == (DENSE_KERNEL if module == "tensor" else set()), found
+
+
+def test_the_numpy_check_sees_every_kind_of_import():
+    source = ("import numpy\n"
+              "class A:\n"
+              "    from numpy import zeros\n"
+              "    def f(self):\n"
+              "        import numpy.linalg as la\n"
+              "def g():\n"
+              "    def h():\n"
+              "        import numpy as np\n"
+              "    import math\n"
+              "    from .numpy import x\n")
+    assert numpy_imports(source) == [(1, None), (3, None), (5, "A.f"),
+                                     (8, "g.h")]
+
+
 # the fraction-field engines, kept in linalg as test oracles only
 FRACTION_NAMES = {"RationalFn", "SpanSolver", "mat_nullspace"}
 

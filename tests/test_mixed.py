@@ -193,6 +193,23 @@ def test_rational_basis_rejects_a_dependent_bideterminant(monkeypatch):
         mixed._RationalBasis(2, 1, 1)
 
 
+@pytest.mark.parametrize("n, r, s", [(2, 2, 2), (3, 1, 2), (3, 2, 1)])
+def test_rational_basis_builds_each_right_factor_once(n, r, s, monkeypatch):
+    calls = []
+    real = mixed.rational_right_factor
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mixed, "rational_right_factor", recording)
+    bitableaux = standard_rational_bitableaux(n, r, s)
+    assert mixed._RationalBasis(n, r, s).index == bitableaux
+    want = {(k, rt.right, rt2.right, n) for k, rt, rt2 in bitableaux}
+    assert len(calls) == len(want) < len(bitableaux)
+    assert set(calls) == want
+
+
 def reconstructs(expansion, a, n, r, s):
     """The expansion sums its standard rational bideterminants back to a
     modulo Y.  rational_basis(n, r, s) building certifies that those

@@ -2,12 +2,21 @@
 
 import functools
 import itertools
+import math
 import operator
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
 
 from qschur.laurent import (LaurentPoly, ONE, Q, QINV, quantum_binomial,
                             quantum_factorial, quantum_integer)
@@ -427,14 +436,79 @@ def test_rank_mod_rejects_a_modulus_the_bounds_cannot_use(p):
         rank_mod([[(0, p - 1), (1, 2)], [(0, 1), (1, p - 2)]], p)
 
 
+def test_sparse_echelon_keeps_rows_monic_at_their_lowest_column():
+    ech = tensor._SparseEchelon(7)
+    assert ech.insert({5: 3, 2: -4}) == {2: 1, 5: 1}
+    # 2 * (row above) cancels column 2 and leaves 5 - 2 at column 5
+    assert ech.insert({2: 2, 5: 5, 9: 7}) == {5: 1}
+    assert ech.insert({2: 9, 5: 2}) is None
+    assert ech.insert({}) is None
+    assert ech.rank == 2 and sorted(ech.rows) == [2, 5]
+
+
+def column_key(i):
+    """Column i as a key of one of three kinds: a tuple, a string or a
+    shifted (possibly negative) integer."""
+    return ((i, "x"), f"c{i}", 7 * i - 100)[i % 3]
+
+
+@st.composite
+def sparse_rows(draw):
+    """(p, width, rows): rows of (column position, integer) pairs that use
+    every column of the width, some repeating a column, with residues
+    unreduced and negative, and sometimes a dependent row."""
+    p = draw(st.sampled_from([2, 7, P, 3037000493]))
+    width = draw(st.integers(1, 2 * tensor._DENSE_WIDTH))
+    entry = st.tuples(st.integers(0, width - 1), st.integers(-2 * p, 2 * p))
+    rows = draw(st.lists(st.lists(entry, max_size=8), max_size=12))
+    full = draw(st.lists(st.integers(-p, p), min_size=width,
+                         max_size=width))
+    rows.append(list(enumerate(full)))
+    if draw(st.booleans()):
+        rows.append(rows[0] + [(col, -v) for col, v in rows[-1]])
+    return p, width, rows
+
+
+@given(sparse_rows())
+@settings(max_examples=60, deadline=None)
+def test_both_kernels_match_sympy_rank_over_gf_p(case):
+    p, width, rows = case
+    dense = [[0] * width for _ in rows]
+    for vec, row in zip(dense, rows):
+        for col, v in row:
+            vec[col] += v
+    field = GF(p)
+    want = DomainMatrix([[field(v) for v in vec] for vec in dense],
+                        (len(dense), width), field).rank()
+    sparse = tensor._SparseEchelon(p)
+    for vec in dense:
+        sparse.insert(dict(enumerate(vec)))
+    assert sparse.rank == want
+    ech = tensor._ModEchelon(p, width)
+    ech.insert(numpy.array([[v % p for v in vec] for vec in dense],
+                           dtype=numpy.int64))
+    assert ech.rank == want
+    assert rank_mod([[(column_key(col), v) for col, v in row]
+                     for row in rows], p) == want
+
+
 # -- the block closure and the modular commutant bound -----------------------
+
+def dense_residues(g, index, q0, p):
+    """g's dense matrix of residues at q = q0 modulo p, rows and columns
+    in the order of index."""
+    m = numpy.zeros((len(index), len(index)), dtype=numpy.int64)
+    for (src, tgt), v in g.terms.items():
+        m[index[src], index[tgt]] = v.eval_mod(q0, p)
+    return m
+
 
 def full_closure_modular(gens, keys, q0, p):
     """The former closure: one d^2-entry span, no blocks (test oracle)."""
     keys = list(keys)
     index = {k: t for t, k in enumerate(keys)}
     d = len(keys)
-    mats = [g.modular(index, q0, p) for g in gens]
+    mats = [dense_residues(g, index, q0, p) for g in gens]
     pivots = {}
 
     def reduce_insert(flat):
@@ -520,6 +594,35 @@ def test_block_closure_matches_full_closure(n, r, s, q0, p):
     keys, _, ugens = mixed_point(n, r, s)
     assert image_algebra_dim_modular(ugens, keys, q0=q0, p=p) == \
         full_closure_modular(ugens, keys, q0, p)
+
+
+def closure_points():
+    """(id, keys, generators, specializations): the schur-weyl suite's
+    points, the weight-projectors points with and without the extra
+    diagonal generators, and (3,2,2) at the first specialization."""
+    first = [tensor.SPECIALIZATIONS[0]]
+    for n, r, s in SUITE_POINTS:
+        keys, _, ugens = mixed_point(n, r, s)
+        yield f"{n}-{r}-{s}", keys, ugens, first + SPECIALIZATIONS[1:2]
+    for n, m in itertools.product((2, 3), (1, 2, 3)):
+        for projectors in (False, True):
+            keys, _, gens = ordinary_point(n, m, projectors)
+            yield f"{n}-{m}-{projectors}", keys, gens, first
+    keys, _, ugens = mixed_point(3, 2, 2)
+    yield "3-2-2", keys, ugens, first
+
+
+@pytest.mark.parametrize("point", closure_points(), ids=lambda pt: pt[0])
+def test_the_closure_is_the_same_with_either_kernel_forced(point,
+                                                            monkeypatch):
+    _, keys, gens, specializations = point
+    for q0, p in specializations:
+        dims = []
+        for width in (math.inf, 0):   # every block sparse, then dense
+            monkeypatch.setattr(tensor, "_DENSE_WIDTH", width)
+            dims.append(image_algebra_dim_modular(gens, keys, q0, p))
+        monkeypatch.undo()
+        assert dims == [image_algebra_dim_modular(gens, keys, q0, p)] * 2
 
 
 def unblocked_commutant_dim(gens, keys, q0=None, p=None):
@@ -751,3 +854,106 @@ def test_largest_admissible_prime():
     p = 3037000493
     assert image_algebra_dim_modular(gens, keys, q0=3, p=p) == 10
     assert commutant_dim_modular(hecke, keys, q0=3, p=p) == 10
+
+
+def test_largest_admissible_prime_by_the_dense_kernel(monkeypatch):
+    # the same point with every block forced onto the dense kernel, so the
+    # closure's products go through _matmul_mod one column at a time
+    steps = []
+    matmul = tensor._matmul_mod
+
+    def recording(a, b, p):
+        steps.append((2 ** 63 - 1) // (p - 1) ** 2)
+        return matmul(a, b, p)
+
+    monkeypatch.setattr(tensor, "_DENSE_WIDTH", 0)
+    monkeypatch.setattr(tensor, "_matmul_mod", recording)
+    keys, hecke, gens = ordinary_point(2, 2)
+    p = 3037000493
+    assert image_algebra_dim_modular(gens, keys, q0=3, p=p) == 10
+    assert commutant_dim_modular(hecke, keys, q0=3, p=p) == 10
+    assert steps and set(steps) == {1}
+
+
+def test_mod_echelon_reduces_a_second_batch_at_the_largest_prime(
+        monkeypatch):
+    # residues close to p, so that every product of two is close to 2^63;
+    # the second insert reduces its batch by the held rows in _matmul_mod
+    p = 3037000493
+    rng = random.Random(3)
+    width = 7
+    first = [[p - 1 - rng.randrange(5) for _ in range(width)]
+             for _ in range(3)]
+    second = [[p - 1 - rng.randrange(5) for _ in range(width)]
+              for _ in range(2)]
+    second.append([(a + b) % p for a, b in zip(first[0], second[0])])
+    calls = []
+    matmul = tensor._matmul_mod
+
+    def recording(a, b, p):
+        calls.append(a.shape)
+        return matmul(a, b, p)
+
+    ech = tensor._ModEchelon(p, width)
+    ech.insert(numpy.array(first, dtype=numpy.int64))
+    assert ech.rank == 3
+    monkeypatch.setattr(tensor, "_matmul_mod", recording)
+    new = ech.insert(numpy.array(second, dtype=numpy.int64))
+    assert calls == [(3, 3)] and len(new) == 2 and ech.rank == 5
+    # the rows held are the reduced row echelon form of both batches
+    field = GF(p)
+    want, pivots = DomainMatrix([[field(v) for v in row]
+                                 for row in first + second],
+                                (6, width), field).rref()
+    want = [[int(v) % p for v in row] for row in want.to_list()[:5]]
+    got = sorted(ech._rows[:ech.rank].tolist(),
+                 key=lambda row: next(i for i, v in enumerate(row) if v))
+    assert got == want and sorted(ech.cols) == list(pivots)
+
+
+# -- the kernel choice, seen from a fresh process ------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script):
+    """Run a Python script in a fresh process on the package in src."""
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_desk_scale_certificates_never_load_numpy():
+    run_fresh("""
+import contextlib, io, sys
+from qschur.cli import main
+from qschur.tensor import verify_schur_weyl
+for point in [(3, 2, 1), (3, 1, 2), (4, 1, 1), (2, 2, 2)]:
+    assert verify_schur_weyl(*point)["ok"], point
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "kernel-Y", "--n", "3", "--r", "2",
+                 "--s", "2"]) == 0
+assert "numpy" not in sys.modules
+""")
+
+
+def test_a_rank_mod_block_at_the_width_constant_loads_numpy():
+    # w - 1 unit rows and their sum: rank w - 1 on w - 1 columns, then
+    # rank w once one more column is used
+    run_fresh("""
+import sys
+from qschur import tensor
+w, p = tensor._DENSE_WIDTH, tensor.SPECIALIZATIONS[0][1]
+rows = [[(("c", j), 1)] for j in range(w - 1)]
+rows.append([(("c", j), p - 1) for j in range(w - 1)])
+assert tensor.rank_mod(rows, p) == w - 1
+assert "numpy" not in sys.modules
+rows.append([(("c", w - 1), 2), (("c", 0), 1)])
+assert tensor.rank_mod(rows, p) == w
+assert "numpy" in sys.modules
+""")
+
