@@ -16,6 +16,7 @@ import itertools
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import mixed as mx
 from . import qmatrix as qm
@@ -710,11 +711,61 @@ def _to_csv(report):
     return out.getvalue()
 
 
+def _write_json(value, newline, put):
+    """Pass value to put, in pieces, as json.dumps(value, indent=2,
+    sort_keys=True) spells it; newline is the line break at value's depth.
+
+    With indent set, json.dumps runs its pure-Python encoder; this one pass
+    calls only json's C string escaper.  It takes what reports hold (dicts
+    with str keys, lists, str, int, bool and None); anything else is a
+    TypeError."""
+    kind = type(value)
+    if kind is str:
+        put(_encode_str(value))
+    elif kind is int:
+        put(repr(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _encode_str(key) + ": ")
+            _write_json(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif kind is list:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON "
+                        "serializable")
+
+
 def _emit(report, args):
     if args.format == "csv":
         text = _to_csv(report)
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        pieces = []
+        _write_json(report, "\n", pieces.append)
+        text = "".join(pieces) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -1,10 +1,12 @@
 """The command-line surface: subcommands, formats, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -679,3 +681,118 @@ def test_fuzzed_input_exits_0_or_2_with_one_error_line(request):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# -- the printed bytes -------------------------------------------------------
+
+def as_json_dumps(text):
+    """text as json.dumps(indent=2, sort_keys=True) prints it, newline
+    included: the byte-for-byte contract of a JSON report."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def call(argv, stdin=""):
+    """(exit code, stdout, stderr) of one main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def make_stream():
+    """perfbench/workloads.make_stream, imported without writing bytecode
+    under perfbench/."""
+    bench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, bench)
+    try:
+        from workloads import make_stream
+    finally:
+        sys.path.remove(bench)
+        sys.dont_write_bytecode = saved
+    return make_stream
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stream_reports_are_the_bytes_of_json_dumps(seed, make_stream):
+    printed = 0
+    for req in make_stream(seed):
+        code, out, err = call(req.argv, req.payload)
+        if code == 0:
+            assert out == as_json_dumps(out), req.argv
+            printed += 1
+        else:  # a malformed request prints one error line and no report
+            assert out == "" and err.startswith("error:")
+    assert printed > 350
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bijection"],
+    ["dims", "--n", "2", "--r", "1", "--s", "1"],
+    ["tableaux", "--n", "3", "--m", "3"],
+    ["tableaux", "--rational", "--n", "2", "--r", "2", "--s", "1"],
+    ["basis", "ord", "--n", "2", "--m", "3"],
+    ["basis", "mixed", "--n", "2", "--r", "1", "--s", "1"],
+])
+def test_reports_are_the_bytes_of_json_dumps(argv, tmp_path):
+    code, out, err = call(argv)
+    assert (code, err) == (0, "")
+    assert out == as_json_dumps(out)
+    path = tmp_path / "report.json"
+    assert call(argv + ["--output", str(path)]) == (0, "", "")
+    # the same bytes, but for the wall time of each run
+    assert re.sub(rb'"elapsed_ms": \d+', b"", path.read_bytes()) == \
+        re.sub(rb'"elapsed_ms": \d+', b"", out.encode())
+
+
+def test_a_null_prints_as_json_dumps_prints_it(monkeypatch):
+    def unmet(lower, upper):
+        raise AssertionError("uncertified: 9 <= dim <= 10")
+    monkeypatch.setattr(tn, "squeeze", unmet)
+    code, out, err = call(["dims", "--n", "2", "--r", "1", "--s", "1"])
+    assert (code, err) == (1, "")
+    assert '"commutant_dim": null,' in out
+    assert out == as_json_dumps(out)
+
+
+@pytest.mark.parametrize("value, name", [
+    (0.5, "float"), ((1, 2), "tuple"), ({1: "x"}, "int"), (b"x", "bytes")])
+def test_a_report_of_another_type_is_an_internal_fault(value, name,
+                                                       monkeypatch,
+                                                       tmp_path):
+    # reports hold dicts with str keys, lists, str, int, bool and None only
+    monkeypatch.setattr(tn, "verify_schur_weyl",
+                        lambda n, r, s: {"ok": True, "value": [value]})
+    argv = ["dims", "--n", "2", "--r", "1", "--s", "1"]
+    code, out, err = call(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: internal fault: TypeError: ")
+    assert name in err and err.count("\n") == 1
+    path = tmp_path / "report.json"
+    assert call(argv + ["--output", str(path)]) == (1, "", err)
+    assert not path.exists()  # nothing half written
+
+
+# strings and keys with non-ASCII, control, quote and backslash characters
+_tricky_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€ \ud800𝄞')
+                       | st.characters(), max_size=5)
+
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _tricky_text
+    | st.integers(max_value=-2 ** 64) | st.just([]) | st.just({}),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_tricky_text, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_report_values)
+def test_emit_writes_what_json_dumps_writes(value):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(value, argparse.Namespace(format="json", output=None))
+    assert out.getvalue() == json.dumps(value, indent=2,
+                                        sort_keys=True) + "\n"

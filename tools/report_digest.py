@@ -14,6 +14,10 @@ digested with its exit code and stderr:
   1-3, one digest per seed.
 
 ``elapsed_ms`` is removed wherever it appears, since it is a wall time.
+The ``queries.seed*`` digests hash the raw stdout, so equal digests there
+prove the stream's output byte-identical; the ``verify-all.json`` and
+``dims.*`` digests hash the JSON re-dumped without ``elapsed_ms``, so they
+cannot see a change of whitespace.
 Any hash seed other than 0 is refused: the digests are only comparable
 under one.  ``perfbench/`` is read, never written (no bytecode either).
 """
