@@ -541,30 +541,33 @@ def run_suite(name, n=None, r=None, s=None, m=None):
 # -- subcommands --------------------------------------------------------------
 
 def _read_element(args, mixed=False):
-    """The input element; a ParamError unless it is JSON, a list of terms
-    with their keys, integer exponents and coefficients, letters in 1..n
-    and one degree, or if mixed the bidegree (--r, --s)."""
+    """The input element, checked and built in one pass over its terms.
+
+    A ParamError unless it is JSON and a list of terms, each with its keys,
+    a coefficient that LaurentPoly.from_json reads, letters that are pairs
+    of ints in 1..n and, if mixed, the bidegree (--r, --s), checked in that
+    order; a plain element must also be homogeneous."""
     try:
         if args.input and args.input != "-":
             with open(args.input) as fh:
                 obj = json.load(fh)
         else:
             obj = json.load(sys.stdin)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting
         raise ParamError(f"the element is not JSON: {exc}") from None
     halves = ("plain", "starred") if mixed else ("word",)
     if not isinstance(obj, list):
         raise ParamError("the element must be a JSON list of terms")
+    terms = []
     for item in obj:
         if not (isinstance(item, dict) and isinstance(item.get("coeff"), dict)
                 and all(isinstance(item.get(h), list) for h in halves)):
             raise ParamError("every term needs the keys "
                              + ", ".join(halves + ("coeff",)))
-        if not all(type(c) in (int, str) and _is_int(c)
-                   for c in item["coeff"].values()):
-            raise ParamError("coefficients must be integers")
-        if not all(_is_int(e) for e in item["coeff"]):
-            raise ParamError("exponents must be integers")
+        try:
+            coeff = LaurentPoly.from_json(item["coeff"])
+        except ValueError as exc:
+            raise ParamError(str(exc)) from None
         for letter in itertools.chain(*(item[h] for h in halves)):
             if not (isinstance(letter, list) and len(letter) == 2 and
                     all(type(x) is int and 1 <= x <= args.n for x in letter)):
@@ -575,19 +578,13 @@ def _read_element(args, mixed=False):
             raise ParamError(f"a term has bidegree ({len(item['plain'])}, "
                              f"{len(item['starred'])}), not (--r, --s) = "
                              f"({args.r}, {args.s})")
-    elem = (mx.MixedElem if mixed else qm.AlgebraElem).from_json(obj)
+        words = [tuple(map(tuple, item[h])) for h in halves]
+        terms.append((tuple(words) if mixed else words[0], coeff))
+    terms = accumulate({}, terms)
+    elem = mx.MixedElem(terms) if mixed else qm.AlgebraElem(terms)
     if not mixed and len({len(w) for w in elem.terms}) > 1:
         raise ParamError("inhomogeneous element")
     return elem
-
-
-def _is_int(x):
-    """True iff int() reads x, as LaurentPoly.from_json does."""
-    try:
-        int(x)
-    except ValueError:
-        return False
-    return True
 
 
 def cmd_tableaux(args):

@@ -213,13 +213,28 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj):
-        """The inverse of to_json; exponent keys that read as the same
-        integer ("0", "00", " 0") have their coefficients summed."""
+        """The inverse of to_json, and the one parser of a coefficient read
+        from JSON (see _ints); coefficients are checked before exponents.
+        Keys that read as one integer ("0", "00", " 0") are summed."""
+        coeffs = _ints(obj.values(), "coefficients")
         terms = {}
-        for e, c in obj.items():
-            e = int(e)
-            terms[e] = terms.get(e, 0) + int(c)
+        for e, c in zip(_ints(obj, "exponents"), coeffs):
+            terms[e] = terms.get(e, 0) + c
         return LaurentPoly(terms)
+
+
+def _ints(xs, what):
+    """xs as ints: each an int (not a bool) or a string that int() reads,
+    else ValueError "<what> must be integers"."""
+    if _INT_TYPES.issuperset(map(type, xs)):
+        try:
+            return list(map(int, xs))
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be integers")
+
+
+_INT_TYPES = frozenset((int, str))
 
 
 _new = object.__new__

@@ -88,14 +88,6 @@ class MixedElem(SparseSum):
                  "coeff": c.to_json()}
                 for (pw, sw), c in sorted(self.terms.items())]
 
-    @staticmethod
-    def from_json(obj):
-        terms = accumulate({}, (((tuple(tuple(x) for x in item["plain"]),
-                                  tuple(tuple(x) for x in item["starred"])),
-                                 LaurentPoly.from_json(item["coeff"]))
-                                for item in obj))
-        return MixedElem(terms)
-
 
 def mixed_multiply(a, b):
     """Product: plain halves concatenate, starred halves concatenate."""
@@ -364,7 +356,6 @@ class _RationalBasis:
             self.index.append((k, rt, rt2))
 
 
-@functools.cache
 def rational_basis(n, r, s):
     return _RationalBasis(n, r, s)
 

@@ -138,13 +138,6 @@ class AlgebraElem(SparseSum):
                  "coeff": c.to_json()}
                 for w, c in sorted(self.terms.items())]
 
-    @staticmethod
-    def from_json(obj):
-        terms = accumulate({}, ((tuple(tuple(x) for x in item["word"]),
-                                 LaurentPoly.from_json(item["coeff"]))
-                                for item in obj))
-        return AlgebraElem(terms)
-
 
 def multiply(a, b, rewriter=PLAIN):
     """Product in the algebra (concatenate words, then normalize)."""

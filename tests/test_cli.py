@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -609,13 +610,134 @@ def test_an_internal_fault_of_a_subcommand_exits_1(argv, elem, target,
     assert err == "error: internal fault: KeyError: 'internal'\n"
 
 
+# -- the element reader's messages ------------------------------------------
+
+_ORD2 = ["straighten", "ord", "--n", "2"]
+_ORD3 = ["straighten", "ord", "--n", "3"]
+_MIXED_11 = ["straighten", "mixed", "--n", "2", "--r", "1", "--s", "1"]
+_MIXED_21 = ["straighten", "mixed", "--n", "2", "--r", "2", "--s", "1"]
+_IOTA_21 = ["iota", "--n", "2", "--r", "2", "--s", "1"]
+
+
+def _term(word, coeff):
+    return {"word": word, "coeff": coeff}
+
+
+def _pair(plain, starred, coeff):
+    return {"plain": plain, "starred": starred, "coeff": coeff}
+
+
+def _nested(depth):
+    """A letter of the form [[...[]...]], lists nested depth + 1 deep."""
+    return json.dumps([_term([[]], {"0": "1"})]).replace(
+        "[[]]", "[" * (depth + 1) + "]" * (depth + 1))
+
+
+_NOT_INTS = "coefficients must be integers"
+_NOT_EXPS = "exponents must be integers"
+_TOO_DEEP = ("the element is not JSON: maximum recursion depth exceeded "
+             "while decoding a JSON array from a unicode string")
+
+# (argv, the --input text, the one stderr line after "error: "); every row
+# exits 2.  Each row but the last two prints what it printed before the
+# reader took one pass per term; the two nested rows were internal faults.
+READER_MESSAGES = [
+    # the inputs of test_malformed_input_exits_2
+    (_ORD2, [_term([[1, 3], [1, 1]], {"0": "1"})],
+     "letter [1, 3] is not a pair of indices in 1..2"),
+    (_ORD3, _term([[1, 1]], {"0": "1"}),
+     "the element must be a JSON list of terms"),
+    (_ORD3, [{"coeff": {"0": "1"}}], "every term needs the keys word, coeff"),
+    (_ORD3, [_term([[1, 1]], {"0": [1]})], _NOT_INTS),
+    (_MIXED_21, _BAD_PAIR,
+     "a term has bidegree (1, 1), not (--r, --s) = (2, 1)"),
+    (_IOTA_21, _BAD_PAIR,
+     "a term has bidegree (1, 1), not (--r, --s) = (2, 1)"),
+    (_ORD2, [_term([[1, 1]], {"0": True})], _NOT_INTS),
+    (_ORD2, [_term([[1, 1]], {"0": False})], _NOT_INTS),
+    # letters: a float, a bool, three indices, a float in the starred half
+    (_ORD2, [_term([[1, 2.0]], {"0": "1"})],
+     "letter [1, 2.0] is not a pair of indices in 1..2"),
+    (_ORD2, [_term([[True, 1]], {"0": "1"})],
+     "letter [True, 1] is not a pair of indices in 1..2"),
+    (_ORD2, [_term([[1, 1, 1]], {"0": "1"})],
+     "letter [1, 1, 1] is not a pair of indices in 1..2"),
+    (_MIXED_11, [_pair([[1, 1]], [[2.0, 1]], {"0": "1"})],
+     "letter [2.0, 1] is not a pair of indices in 1..2"),
+    # coefficients and exponent keys
+    (_ORD2, [_term([[1, 1]], {"0": 2.5})], _NOT_INTS),
+    (_ORD2, [_term([[1, 1]], {"0": 2.0})], _NOT_INTS),
+    (_ORD2, [_term([[1, 1]], {"0": None})], _NOT_INTS),
+    (_ORD2, [_term([[1, 1]], {"0": "1.5"})], _NOT_INTS),
+    (_ORD2, [_term([[1, 1]], {"1.5": "1"})], _NOT_EXPS),
+    (_ORD2, [_term([[1, 1]], {"": "1"})], _NOT_EXPS),
+    # two faults in one term: keys, then coefficients, exponents, letters
+    # and bidegree
+    (_ORD2, [{"wrod": [[1, 1]], "coeff": {"0": 2.5}}],
+     "every term needs the keys word, coeff"),
+    (_ORD2, [_term([[1, 1]], {"x": "1", "0": "1.5"})], _NOT_INTS),
+    (_ORD2, [_term([[1, 3]], {"x": "1"})], _NOT_EXPS),
+    (_MIXED_21, [_pair([[1, 1]], [[1, 3]], {"0": "1"})],
+     "letter [1, 3] is not a pair of indices in 1..2"),
+    (_MIXED_11, [_pair([[3, 1]], [], {"0": "y"})], _NOT_INTS),
+    # a fault of the first term comes before one of the second
+    (_ORD2, [_term([[1, 3]], {"0": "1"}), {"coeff": {"0": "1"}}],
+     "letter [1, 3] is not a pair of indices in 1..2"),
+    # JSON nested past the recursion limit, as a whole and in a letter
+    (_ORD2, "[" * 100_000, _TOO_DEEP),
+    (_ORD2, _nested(990), _TOO_DEEP),
+]
+
+
+def read_through_main(argv, elem, path):
+    """main(argv) reading elem (a JSON text if a str) from the file path;
+    (exit code, stdout, stderr)."""
+    path.write_text(elem if isinstance(elem, str) else json.dumps(elem))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, elem, message", READER_MESSAGES,
+                         ids=map(str, range(len(READER_MESSAGES))))
+def test_the_reader_prints_one_exact_line(argv, elem, message, tmp_path):
+    assert read_through_main(argv, elem, tmp_path / "elem.json") == \
+        (2, "", f"error: {message}\n")
+
+
+def test_the_reader_leaves_int_letters_only_in_the_memos(tmp_path):
+    for argv, elem, _ in READER_MESSAGES:
+        read_through_main(argv, elem, tmp_path / "elem.json")
+    # well-formed elements reach the rewriters too
+    for argv, elem in ((_ORD2, _WORD), (_MIXED_11, _BAD_PAIR)):
+        assert read_through_main(argv, elem, tmp_path / "elem.json")[0] == 0
+    words = []
+    for rewriter in (qm.PLAIN, qm.STARRED):
+        for word, nf in rewriter.cache.items():
+            words += [word, *nf]
+        for (u, x), nf in rewriter.inserts.items():
+            words += [u, (x,), *nf]
+    assert words
+    assert all(type(i) is int for w in words for letter in w for i in letter)
+
+
 # -- fuzzed straighten/iota input ------------------------------------------
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 5) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8)
+# floats include integral ones such as 2.0, and NaN and +-Infinity, which
+# json.load reads; the reader refuses every one of them
+_json_scalars = (st.none() | st.booleans() | st.integers(-3, 5)
+                 | st.text(max_size=3) | st.integers(-3, 5).map(float)
+                 | st.floats())
+_json_values = st.one_of(
+    st.recursive(_json_scalars,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+                 max_leaves=8),
+    # a scalar nested 2 to 40 lists deep
+    st.builds(lambda x, depth: functools.reduce(lambda v, _: [v],
+                                                range(depth), x),
+              _json_scalars, st.integers(2, 40)))
 
 
 def _mostly(good, *bad):
@@ -628,6 +750,8 @@ def _mostly(good, *bad):
 def _letters(n):
     return _mostly(st.lists(st.integers(1, n), min_size=2, max_size=2),
                    st.lists(st.integers(0, n + 2), min_size=2, max_size=2),
+                   st.lists(st.integers(1, n) | st.integers(1, n).map(float),
+                            min_size=2, max_size=2),
                    _json_values)
 
 

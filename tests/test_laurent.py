@@ -153,6 +153,27 @@ def test_from_json_sums_exponent_keys_that_read_as_one_integer(key):
         {1: 5, -1: 2}
 
 
+@pytest.mark.parametrize("coeff", [2.5, True, None, [1], "1.5"])
+def test_from_json_refuses_a_coefficient_that_is_not_an_integer(coeff):
+    with pytest.raises(ValueError, match="^coefficients must be integers$"):
+        LaurentPoly.from_json({"0": coeff})
+
+
+@pytest.mark.parametrize("key", [2.5, True, None, "1.5", ""])
+def test_from_json_refuses_an_exponent_that_is_not_an_integer(key):
+    with pytest.raises(ValueError, match="^exponents must be integers$"):
+        LaurentPoly.from_json({key: "1"})
+
+
+def test_from_json_checks_coefficients_before_exponents():
+    with pytest.raises(ValueError, match="^coefficients"):
+        LaurentPoly.from_json({"x": "1", "0": 2.5})
+
+
+def test_from_json_reads_ints_and_integer_strings():
+    assert LaurentPoly.from_json({"-1": 3, 2: " -4"}).terms == {-1: 3, 2: -4}
+
+
 # -- the shared units +-q^e ------------------------------------------------
 
 signs = st.sampled_from([1, -1])

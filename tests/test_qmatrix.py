@@ -1,6 +1,7 @@
 """The quantum matrix algebra: rewriting, minors, straightening."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -208,14 +209,22 @@ def test_starred_rewriter_is_q_inverse_twist():
         assert starred.terms == flipped
 
 
-def test_json_roundtrip():
+def read_element(obj, path):
+    """obj written to path and read back by the CLI's element reader."""
+    path.write_text(json.dumps(obj))
+    args = cli.build_parser().parse_args(
+        ["straighten", "ord", "--n", "2", "--input", str(path)])
+    return cli._read_element(args)
+
+
+def test_json_roundtrip(tmp_path):
     elem = multiply(gen(2, 1), gen(1, 2))
-    assert AlgebraElem.from_json(elem.to_json()) == elem
+    assert read_element(elem.to_json(), tmp_path / "elem.json") == elem
 
 
-def test_from_json_sums_repeated_words():
+def test_from_json_sums_repeated_words(tmp_path):
     term = {"word": [[1, 2]], "coeff": {"0": "1"}}
-    elem = AlgebraElem.from_json([term, term])
+    elem = read_element([term, term], tmp_path / "elem.json")
     assert elem.terms == {((1, 2),): LaurentPoly.from_int(2)}
 
 
